@@ -9,7 +9,8 @@ replayed.  All inputs are local files or flags; no network, no environment
 variables.
 
 Exit codes: 0 success, 1 input/usage error, 2 solver ran but did not
-converge within budget (results are still written).
+converge within budget, or an experiment record failed (results are still
+written).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def cmd_eval_gaussian(args):
     )
     write_json(args.out, report.to_dict())
     _finish(args, [], t0)
-    return 0
+    return 2 if any(r["failed"] for r in report.records) else 0
 
 
 def cmd_sample_complexity(args):

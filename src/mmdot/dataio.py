@@ -8,6 +8,7 @@ column is a numeric feature.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -145,15 +146,10 @@ def write_json(path, doc) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def fnv1a64(data: bytes) -> str:
-    """64-bit FNV-1a digest as a 16-hex-digit string."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
-
-
 def file_digest(path) -> str:
+    """SHA-256 of the file's bytes as a 64-hex-digit string."""
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return fnv1a64(fh.read())
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()

@@ -24,10 +24,6 @@ class NumericalFailureError(RuntimeError):
         self.trace = trace
 
 
-class SolverStallError(RuntimeError):
-    """The exact transportation solver exceeded its degenerate-pivot budget."""
-
-
 class InvalidModelError(ValueError):
     """A transport-map model produced materially negative weights."""
 

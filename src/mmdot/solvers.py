@@ -8,19 +8,21 @@ Three routes are provided:
 * ``solve_admm`` -- consensus ADMM for the variant that carries explicit
   nonnegative conditional-embedding coefficients ``beta`` and ``gamma``
   tied to ``alpha`` through the gram matrices.
-* ``solve_emd_exact`` -- exact small-scale discrete OT via the
-  transportation-simplex method, used as a baseline and test oracle.
+* ``solve_emd_exact`` -- exact small-scale discrete OT, used as a
+  baseline: an assignment solve when m = n, the transportation LP through
+  HiGHS otherwise.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .embeddings import CostMatrix
-from .errors import NumericalFailureError, ShapeError, SolverStallError
+from .errors import NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
 _EMD_SIZE_CAP = 10_000
@@ -505,104 +507,15 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
 
 
 # ---------------------------------------------------------------------------
-# Exact discrete OT via the transportation simplex
+# Exact discrete OT
 # ---------------------------------------------------------------------------
 
-def _northwest_corner(m, n):
-    """Initial basic feasible solution for uniform 1/m, 1/n marginals.
-
-    Walks the grid advancing one index at a time, visiting exactly
-    m + n - 1 cells (degenerate zero allocations included).
-    """
-    X = np.zeros((m, n))
-    basis = []
-    supply = np.full(m, 1.0 / m)
-    demand = np.full(n, 1.0 / n)
-    i = j = 0
-    while True:
-        q = min(supply[i], demand[j])
-        X[i, j] = q
-        basis.append((i, j))
-        supply[i] -= q
-        demand[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if supply[i] <= 1e-15 and i < m - 1:
-            i += 1
-        else:
-            j += 1
-    return X, basis
-
-
-def _compute_potentials(C, basis, m, n):
-    """Dual potentials u, v with u_i + v_j = C_ij on basic cells."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    rows = {i: [] for i in range(m)}
-    cols = {j: [] for j in range(n)}
-    for (i, j) in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    u[0] = 0.0
-    queue = deque([("r", 0)])
-    while queue:
-        kind, k = queue.popleft()
-        if kind == "r":
-            for j in rows[k]:
-                if np.isnan(v[j]):
-                    v[j] = C[k, j] - u[k]
-                    queue.append(("c", j))
-        else:
-            for i in cols[k]:
-                if np.isnan(u[i]):
-                    u[i] = C[i, k] - v[k]
-                    queue.append(("r", i))
-    return u, v
-
-
-def _find_cycle(basis, enter, m, n):
-    """Cells of the unique cycle created by adding ``enter`` to the basis tree.
-
-    Returns the cycle as a list of cells starting with ``enter``; signs
-    alternate +, -, +, ... along the list.
-    """
-    i_e, j_e = enter
-    rows = {}
-    cols = {}
-    for (i, j) in basis:
-        rows.setdefault(i, []).append((i, j))
-        cols.setdefault(j, []).append((i, j))
-    # BFS over the bipartite basis tree from row i_e to column j_e.
-    parent = {("r", i_e): None}
-    queue = deque([("r", i_e)])
-    target = ("c", j_e)
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        kind, k = node
-        cells = rows.get(k, []) if kind == "r" else cols.get(k, [])
-        for cell in cells:
-            nxt = ("c", cell[1]) if kind == "r" else ("r", cell[0])
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                queue.append(nxt)
-    path_cells = []
-    node = target
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        path_cells.append(cell)
-        node = prev
-    path_cells.reverse()
-    return [enter] + path_cells
-
-
 def solve_emd_exact(C, m=None, n=None):
-    """Exact discrete OT with uniform marginals, by transportation simplex.
+    """Exact discrete OT with uniform marginals.
 
-    North-west-corner initialization, entering variable by most negative
-    reduced cost with first-index tie-breaking, leaving variable by
-    smallest flat index among the blocking cells.  Returns
+    With m = n an optimal assignment divided by m is an optimal coupling
+    (Birkhoff-von Neumann), so the square case is a rectangular assignment
+    solve.  Otherwise the transportation LP goes to HiGHS.  Returns
     ``(coupling, objective)``.
     """
     Cm = _cost_entries(C)
@@ -617,45 +530,21 @@ def solve_emd_exact(C, m=None, n=None):
     if m * n > _EMD_SIZE_CAP:
         raise ShapeError(f"m*n = {m * n} exceeds exact-solver cap {_EMD_SIZE_CAP}")
 
-    X, basis = _northwest_corner(m, n)
-    basis_set = set(basis)
-    max_pivots = 10 * m * n
-    pivots = 0
-    while True:
-        u, v = _compute_potentials(Cm, basis, m, n)
-        R = Cm - u[:, None] - v[None, :]
-        # Basic cells have zero reduced cost by construction; mask them so
-        # round-off there cannot masquerade as an entering candidate.
-        for (i, j) in basis:
-            R[i, j] = 0.0
-        flat = R.ravel()
-        enter_flat = int(np.argmin(flat))
-        if flat[enter_flat] >= -1e-10:
-            break
-        pivots += 1
-        if pivots > max_pivots:
-            raise SolverStallError(
-                f"exceeded {max_pivots} pivots; degenerate cycling suspected"
-            )
-        enter = (enter_flat // n, enter_flat % n)
-        cycle = _find_cycle(basis, enter, m, n)
-        minus_cells = cycle[1::2]
-        theta = min(X[c] for c in minus_cells)
-        # Bland-style: among blocking cells, leave by smallest flat index.
-        leaving = min(
-            (c for c in minus_cells if X[c] <= theta + 1e-18),
-            key=lambda c: c[0] * n + c[1],
-        )
-        for idx, c in enumerate(cycle):
-            if idx % 2 == 0:
-                X[c] += theta
-            else:
-                X[c] -= theta
-        X[leaving] = 0.0
-        basis_set.discard(leaving)
-        basis_set.add(enter)
-        basis = sorted(basis_set)
-
-    np.maximum(X, 0.0, out=X)
+    if m == n:
+        rows, cols = linear_sum_assignment(Cm)
+        X = np.zeros((m, n))
+        X[rows, cols] = 1.0 / m
+    else:
+        # Equality rows: one per row marginal, one per column marginal.
+        A_eq = sparse.vstack([
+            sparse.kron(sparse.eye(m), np.ones((1, n))),
+            sparse.kron(np.ones((1, m)), sparse.eye(n)),
+        ])
+        b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
+        res = linprog(Cm.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs")
+        if res.status != 0:
+            raise NumericalFailureError(f"transportation LP failed: {res.message}")
+        X = np.maximum(res.x.reshape(m, n), 0.0)
     objective = float(np.sum(X * Cm))
     return X, objective

@@ -1,15 +1,17 @@
 """Independent oracles used by the test suite.
 
 Deliberately brute-force and structurally unrelated to the library's own
-algorithms: transportation-polytope vertex enumeration for exact discrete
-OT, dense grid search over the joint simplex for the penalized objective,
-and plain scalar expansions for embedding quantities.
+algorithms: transportation-polytope vertex enumeration and a dense-LP
+solve for exact discrete OT, dense grid search over the joint simplex for
+the penalized objective, and plain scalar expansions for embedding
+quantities.
 """
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 @lru_cache(maxsize=None)
@@ -60,6 +62,26 @@ def emd_by_vertex_enumeration(C):
             best_obj = obj
             best_pi = pi
     return best_pi, best_obj
+
+
+def emd_by_linear_program(C):
+    """Exact uniform-marginal discrete OT optimum as a dense LP.
+
+    The marginal equations are written out cell by cell and handed to
+    HiGHS; no assignment structure is used, so this checks the library's
+    assignment route independently.
+    """
+    C = np.asarray(C, dtype=float)
+    m, n = C.shape
+    A = np.zeros((m + n, m * n))
+    for i in range(m):
+        for j in range(n):
+            A[i, i * n + j] = 1.0
+            A[m + j, i * n + j] = 1.0
+    b = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
+    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.x.reshape(m, n), float(res.fun)
 
 
 def penalized_objective(alpha, C, G1, G2, lam1, lam2, nu1, nu2):

@@ -250,6 +250,22 @@ class TestExperimentCommands:
         assert doc["kind"] == "gaussian_map"
         assert len(doc["records"]) == 2
 
+    def test_eval_gaussian_failed_record_exit_two(self, workdir, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("exact solver broke")
+
+        monkeypatch.setattr("mmdot.experiments.solve_emd_exact", broken)
+        out = workdir / "report.json"
+        code = run(
+            ["eval-gaussian", "--dim", 2, "--samples", "8", "--sigma", 1.0,
+             "--repeats", 1, "--oos-count", 8, "--out", out]
+        )
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["records"][0]["failed"] is True
+        assert "exact solver broke" in doc["records"][0]["error"]
+        assert (workdir / "report.json.manifest.json").exists()
+
     def test_sample_complexity_schema(self, workdir):
         out = workdir / "slope.json"
         code = run(

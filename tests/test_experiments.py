@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmdot.dataio import LabeledDataset
+from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import DatasetError, ShapeError
 from mmdot.experiments import (
     GaussianPair,
@@ -16,7 +17,7 @@ from mmdot.experiments import (
     sample_gaussian,
 )
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
-from mmdot.solvers import SolverConfig
+from mmdot.solvers import SolverConfig, solve_simplified
 
 
 class TestGaussianPair:
@@ -136,7 +137,7 @@ class TestDeriveBeta:
         alpha /= alpha.sum()
         beta = derive_beta(alpha, G1)
         assert np.all(beta >= 0.0)
-        # The projected-gradient fit should do no worse than plain clamping.
+        # The exact NNLS fit should do no worse than plain clamping.
         fit = np.linalg.norm(alpha - (G1.entries @ beta.T) / 5.0)
         from mmdot.embeddings import solve_against_gram
 
@@ -144,6 +145,35 @@ class TestDeriveBeta:
         clamp = np.maximum(Bt, 0.0)
         fit_clamp = np.linalg.norm(alpha - (G1.entries @ clamp) / 5.0)
         assert fit <= fit_clamp + 1e-12
+
+    def test_zero_columns_give_zero_rows(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(6, 2))
+        alpha = rng.random((6, 5))
+        alpha[:, [1, 3]] = 0.0
+        alpha /= alpha.sum()
+        beta = derive_beta(alpha, gram(KernelSpec(GAUSSIAN, sigma=1.0), X, X))
+        assert np.all(beta[[1, 3]] == 0.0)
+        assert np.any(beta[[0, 2, 4]] > 0.0)
+
+    def test_ill_conditioned_gram_fits_no_worse_than_zero(self):
+        # Slope-study instance d=5, sigma=5, m=200: cond(G1) is about 2e17.
+        # beta = 0 leaves a residual of ||alpha||_F, so no fit may exceed it.
+        m = 200
+        pair = make_gaussian_pair(5, seed=0)
+        rng = np.random.default_rng([0, m])
+        X = sample_gaussian(pair.mean1, pair.cov1, m, rng)
+        Y = sample_gaussian(pair.mean2, pair.cov2, m, rng)
+        kernel = KernelSpec(GAUSSIAN, sigma=5.0)
+        G1 = gram(kernel, X, X)
+        plan, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), G1, gram(kernel, Y, Y),
+            SolverConfig(tol_gap=1e-7),
+        )
+        assert trace.converged
+        beta = derive_beta(plan.alpha, G1)
+        resid = np.linalg.norm(plan.alpha - G1.entries @ beta.T / m)
+        assert resid <= np.linalg.norm(plan.alpha)
 
 
 class TestRunGaussianExperiment:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from oracles import (
+    emd_by_linear_program,
     emd_by_vertex_enumeration,
     penalized_objective,
     simplex_grid_min,
@@ -229,6 +231,31 @@ class TestSolveEmdExact:
             assert abs(obj - expected) <= 1e-9
             np.testing.assert_allclose(pi.sum(axis=1), np.full(m, 1.0 / m), atol=1e-12)
             np.testing.assert_allclose(pi.sum(axis=0), np.full(n, 1.0 / n), atol=1e-12)
+
+    def test_square_at_cap_vs_linear_program(self):
+        # 100 x 100 is the largest square instance under the cell cap.
+        for seed in range(3):
+            C = np.random.default_rng(seed).random((100, 100))
+            pi, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+            _, expected = emd_by_linear_program(C)
+            assert abs(obj - expected) <= 1e-12
+            np.testing.assert_allclose(pi.sum(axis=1), np.full(100, 0.01), atol=1e-12)
+            np.testing.assert_allclose(pi.sum(axis=0), np.full(100, 0.01), atol=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(12, 18), (18, 12), (7, 5), (40, 250)])
+    def test_rectangular_vs_replicated_assignment(self, m, n):
+        # Repeating row i L/m times and column j L/n times, L = lcm(m, n),
+        # turns uniform-marginal OT into an L x L assignment problem.
+        C = np.random.default_rng(m * n).random((m, n))
+        L = np.lcm(m, n)
+        big = np.repeat(np.repeat(C, L // m, axis=0), L // n, axis=1)
+        rows, cols = linear_sum_assignment(big)
+        expected = float(big[rows, cols].sum()) / L
+        pi, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+        assert abs(obj - expected) <= 1e-12
+        assert np.all(pi >= 0.0)
+        np.testing.assert_allclose(pi.sum(axis=1), np.full(m, 1.0 / m), atol=1e-12)
+        np.testing.assert_allclose(pi.sum(axis=0), np.full(n, 1.0 / n), atol=1e-12)
 
     def test_size_cap(self):
         with pytest.raises(ShapeError):
