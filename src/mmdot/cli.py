@@ -52,7 +52,7 @@ from .transport_map import (
     load_model,
     map_point_sgd,
     map_points_closed_form,
-    model_to_dict,
+    save_model,
 )
 
 _INPUT_ERRORS = (
@@ -164,7 +164,7 @@ def cmd_solve(args):
         model = TransportMapModel(
             beta_star=beta, source_points=X, target_points=Y, kernel1=kernel
         )
-        write_json(args.emit_model, model_to_dict(model))
+        save_model(model, args.emit_model)
     _finish(args, [args.source, args.target, cost_path], t0)
     return 0 if trace.converged else 2
 

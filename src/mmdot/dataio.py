@@ -127,15 +127,16 @@ def write_matrix_csv(path, M, header=None, extra_columns=None) -> None:
     ``extra_columns`` is an optional list of ``(name, values)`` appended
     after the numeric columns (used for e.g. the fallback flag).
     """
-    M = np.atleast_2d(np.asarray(M))
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     if header is None:
         header = [f"y{k}" for k in range(M.shape[1])]
     names = list(header)
     extras = extra_columns or []
     names += [name for name, _ in extras]
     lines = [",".join(names)]
-    for i in range(M.shape[0]):
-        cells = [repr(float(x)) for x in M[i]]
+    # tolist() yields Python floats, whose repr is the shortest round trip.
+    for i, row in enumerate(M.tolist()):
+        cells = list(map(repr, row))
         cells += [str(vals[i]) for _, vals in extras]
         lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")

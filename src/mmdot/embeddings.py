@@ -122,6 +122,24 @@ def _spd_solve(G: np.ndarray, B: np.ndarray, jitter: float) -> np.ndarray:
     return cho_solve((c, low), B, check_finite=False)
 
 
+def _escalate_jitter(solve, jitter: float, what: str):
+    """Return ``(solve(j), j)`` for the first jitter that factorizes.
+
+    ``j`` escalates from ``jitter`` as ``solve_against_gram`` describes.
+    """
+    j = float(jitter)
+    while True:
+        try:
+            return solve(j), j
+        except np.linalg.LinAlgError:
+            nxt = _JITTER_FLOOR if j == 0.0 else 10.0 * j
+            if nxt > _JITTER_CAP:
+                raise IllConditionedGramError(
+                    f"{what} failed even at jitter {j:g} (cap {_JITTER_CAP:g})"
+                ) from None
+            j = nxt
+
+
 def solve_against_gram(G, B, jitter: float = 0.0):
     """Solve ``G X = B`` with automatic jitter escalation.
 
@@ -132,25 +150,15 @@ def solve_against_gram(G, B, jitter: float = 0.0):
     """
     G = gram_entries(G)
     B = np.asarray(B, dtype=float)
-    j = float(jitter)
-    while True:
-        try:
-            return _spd_solve(G, B, j), j
-        except np.linalg.LinAlgError:
-            nxt = _JITTER_FLOOR if j == 0.0 else 10.0 * j
-            if nxt > _JITTER_CAP:
-                raise IllConditionedGramError(
-                    f"gram solve failed even at jitter {j:g} (cap {_JITTER_CAP:g})"
-                ) from None
-            j = nxt
+    return _escalate_jitter(lambda j: _spd_solve(G, B, j), jitter, "gram solve")
 
 
 def cost_embedding(G1, G2, C: CostMatrix, jitter: float = 0.0) -> CostEmbeddingCoefficients:
     """Least-squares projection coefficients of the cost onto the samples.
 
     Solves the normal equations ``G1 @ rho @ G2 = C`` of the projection of
-    the cost function onto ``span{phi1(x_i) (x) phi2(y_j)}``, via two SPD
-    solves with shared jitter escalation.
+    the cost function onto ``span{phi1(x_i) (x) phi2(y_j)}`` via two SPD
+    solves that share one jitter, escalated as in ``solve_against_gram``.
     """
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
@@ -160,16 +168,9 @@ def cost_embedding(G1, G2, C: CostMatrix, jitter: float = 0.0) -> CostEmbeddingC
         raise ShapeError(
             f"gram shapes {G1.shape}, {G2.shape} do not match cost {Cm.shape}"
         )
-    j = float(jitter)
-    while True:
-        try:
-            left = _spd_solve(G1, Cm, j)
-            rho = _spd_solve(G2, left.T, j).T
-            return CostEmbeddingCoefficients(rho=rho, jitter_used=j)
-        except np.linalg.LinAlgError:
-            nxt = _JITTER_FLOOR if j == 0.0 else 10.0 * j
-            if nxt > _JITTER_CAP:
-                raise IllConditionedGramError(
-                    f"cost embedding failed even at jitter {j:g} (cap {_JITTER_CAP:g})"
-                ) from None
-            j = nxt
+
+    def solve(j):
+        return _spd_solve(G2, _spd_solve(G1, Cm, j).T, j).T
+
+    rho, j = _escalate_jitter(solve, jitter, "cost embedding")
+    return CostEmbeddingCoefficients(rho=rho, jitter_used=j)

@@ -12,13 +12,12 @@ out-of-sample ``x`` as well.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .dataio import write_json
 from .embeddings import SQEUCLIDEAN, USER_SUPPLIED
 from .errors import InvalidModelError, NumericalFailureError, ShapeError
 from .kernels import KernelSpec, gram
@@ -84,6 +83,34 @@ class MapWeights:
     fallback_used: bool
 
 
+def _weights(model: TransportMapModel, X):
+    """Normalized conditional weights of a batch of points, one column each.
+
+    Returns ``(W, fallback)`` with ``W`` n x N; ``fallback[k]`` flags the
+    uniform fallback of ``conditional_weights`` at ``X[k]``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = model.beta_star.shape[0]
+    if X.shape[0] == 0:
+        return np.zeros((n, 0)), np.zeros(0, dtype=bool)
+    if X.shape[1] != model.source_dim:
+        raise ShapeError(
+            f"point dimension {X.shape[1]} does not match sources {model.source_dim}"
+        )
+    K = gram(model.kernel1, model.source_points, X).entries  # m x N
+    W = model.beta_star @ K  # n x N
+    if np.any(W < -_WEIGHT_NEG_TOL):
+        raise InvalidModelError(
+            f"materially negative conditional weight: min={W.min():g}"
+        )
+    np.maximum(W, 0.0, out=W)
+    totals = W.sum(axis=0)
+    fallback = totals <= _WEIGHT_SUM_FLOOR
+    W[:, fallback] = 1.0 / n
+    W /= np.where(fallback, 1.0, totals)
+    return W, fallback
+
+
 def conditional_weights(model: TransportMapModel, x) -> MapWeights:
     """Weights ``w_j = sum_i beta[j, i] k1(x_i, x)``, normalized to the simplex.
 
@@ -91,26 +118,13 @@ def conditional_weights(model: TransportMapModel, x) -> MapWeights:
     so normalization is semantics-preserving and makes the SGD sampling
     distribution well defined.  If every weight is (numerically) zero, for
     example an out-of-sample point far from all sources under a narrow
-    Gaussian kernel, uniform weights are used and flagged.
+    Gaussian kernel, uniform weights are used and flagged.  The batch map
+    ``map_points_closed_form`` uses the same weights.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != model.source_dim:
-        raise ShapeError(
-            f"point dimension {x.shape[0]} does not match sources {model.source_dim}"
-        )
-    kvec = gram(model.kernel1, model.source_points, x[None, :]).entries[:, 0]
-    w = model.beta_star @ kvec
-    if np.any(w < -_WEIGHT_NEG_TOL):
-        raise InvalidModelError(
-            f"materially negative conditional weight: min={w.min():g}"
-        )
-    np.maximum(w, 0.0, out=w)
-    total = float(w.sum())
-    if total > _WEIGHT_SUM_FLOOR:
-        return MapWeights(weights=w / total, normalized=True, fallback_used=False)
-    n = w.shape[0]
+    W, fallback = _weights(model, x[None, :])
     return MapWeights(
-        weights=np.full(n, 1.0 / n), normalized=True, fallback_used=True
+        weights=W[:, 0], normalized=True, fallback_used=bool(fallback[0])
     )
 
 
@@ -129,26 +143,7 @@ def map_points_closed_form(model: TransportMapModel, X):
     """
     if model.cost_kind != SQEUCLIDEAN:
         raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        return np.zeros((0, model.target_dim)), np.zeros(0, dtype=bool)
-    if X.shape[1] != model.source_dim:
-        raise ShapeError(
-            f"point dimension {X.shape[1]} does not match sources {model.source_dim}"
-        )
-    K = gram(model.kernel1, model.source_points, X).entries  # m x N
-    W = model.beta_star @ K  # n x N
-    if np.any(W < -_WEIGHT_NEG_TOL):
-        raise InvalidModelError(
-            f"materially negative conditional weight: min={W.min():g}"
-        )
-    np.maximum(W, 0.0, out=W)
-    totals = W.sum(axis=0)
-    fallback = totals <= _WEIGHT_SUM_FLOOR
-    n = W.shape[0]
-    W[:, fallback] = 1.0 / n
-    totals = np.where(fallback, 1.0, totals)
-    W /= totals
+    W, fallback = _weights(model, X)
     return W.T @ model.target_points, fallback
 
 
@@ -254,24 +249,16 @@ def model_from_dict(doc: dict, cost_fn=None, cost_grad=None) -> TransportMapMode
 
 
 def save_model(model: TransportMapModel, path) -> None:
-    """Write the model as JSON, atomically (temp file then rename).
+    """Write the model as JSON through ``dataio.write_json``.
 
-    Python's float repr is shortest-round-trip, so a written model reads
-    back bit-identically.
+    The file is written atomically with sorted keys and a trailing newline,
+    byte for byte what ``mmdot solve --emit-model`` writes.  Python's float
+    repr is shortest-round-trip, so a written model reads back
+    bit-identically.
     """
     if model.cost_kind != SQEUCLIDEAN:
         raise InvalidModelError("only squared-Euclidean models are serializable")
-    payload = json.dumps(model_to_dict(model), indent=2)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> TransportMapModel:

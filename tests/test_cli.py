@@ -7,6 +7,7 @@ from oracles import emd_by_vertex_enumeration
 
 from mmdot.cli import main
 from mmdot.dataio import write_matrix_csv
+from mmdot.transport_map import load_model, save_model
 
 
 def write_points(path, M, header=None):
@@ -138,6 +139,12 @@ class TestMapRoundTrip:
         )
         assert code == 0
         return model
+
+    def test_emitted_model_bytes_match_save_model(self, workdir):
+        model = self.make_model(workdir)
+        again = workdir / "again.json"
+        save_model(load_model(model), again)
+        assert again.read_bytes() == model.read_bytes()
 
     def test_solve_then_map(self, workdir):
         model = self.make_model(workdir)

@@ -192,6 +192,16 @@ class TestSolveAdmm:
         assert not trace.converged
         assert trace.iters_used == 3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objective_matches_scalar_oracle(self, seed):
+        C, G1, G2 = gaussian_instance(seed)
+        cfg = SolverConfig(rho_admm=50.0, max_outer_iters=40)
+        plan, trace = solve_admm(C, G1, G2, cfg)
+        expected = penalized_objective(
+            plan.alpha, C.entries, G1.entries, G2.entries, 10.0, 10.0, 10.0, 10.0
+        )
+        assert trace.objective_per_iter[-1] == pytest.approx(expected, rel=1e-12)
+
     def test_determinism_bit_identical(self):
         C, G1, G2 = gaussian_instance(5)
         cfg = SolverConfig(rho_admm=50.0, max_outer_iters=40)

@@ -187,11 +187,14 @@ class TestClosedForm:
             target_points=rng.normal(size=(4, 3)),
             kernel1=GAUSS1,
         )
-        P = rng.normal(size=(6, 2))
+        # The last point is far from every source, so its weights underflow
+        # and the batch must take the same uniform fallback as one point.
+        P = np.vstack([rng.normal(size=(6, 2)), [[1e3, -1e3]]])
         batch, fallback = map_points_closed_form(model, P)
-        assert batch.shape == (6, 3)
-        assert not fallback.any()
-        for i in range(6):
+        assert batch.shape == (7, 3)
+        assert fallback.tolist() == [False] * 6 + [True]
+        for i in range(7):
+            assert conditional_weights(model, P[i]).fallback_used == fallback[i]
             np.testing.assert_allclose(
                 batch[i], map_point_closed_form(model, P[i]), atol=1e-12
             )
