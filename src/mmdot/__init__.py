@@ -17,7 +17,6 @@ from .embeddings import (
 from .experiments import (
     ExperimentReport,
     GaussianPair,
-    derive_beta,
     fit_plan_model,
     gaussian_ground_truth_map,
     gaussian_map_matrix,
@@ -32,6 +31,7 @@ from .solvers import (
     PlanCoefficients,
     SolveTrace,
     SolverConfig,
+    derive_beta,
     solve_admm,
     solve_emd_exact,
     solve_simplified,

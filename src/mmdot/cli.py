@@ -39,13 +39,12 @@ from .errors import (
     ShapeError,
 )
 from .experiments import (
-    derive_beta,
     run_domain_adaptation,
     run_gaussian_experiment,
     run_sample_complexity_study,
 )
 from .kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, gram
-from .solvers import SolverConfig, solve_admm, solve_emd_exact, solve_simplified
+from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import (
     TransportMapModel,
     conditional_weights,
@@ -278,7 +277,10 @@ def _add_solver_flags(p):
     p.add_argument("--nu2", type=float, default=10.0)
     p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty")
     p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-    p.add_argument("--max-inner-iters", type=int, default=500, dest="max_inner_iters")
+    p.add_argument(
+        "--max-inner-iters", type=int, default=500, dest="max_inner_iters",
+        help="FW iterations of the prox solve in each ADMM cycle",
+    )
     p.add_argument("--tol", type=float, default=1e-8, help="duality-gap stop")
     p.add_argument(
         "--tol-residual", type=float, default=1e-6, help="ADMM residual stop"

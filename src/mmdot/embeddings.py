@@ -47,6 +47,13 @@ class CostMatrix:
         return self.entries.shape
 
 
+def cost_entries(C) -> np.ndarray:
+    """Accept either a CostMatrix or a plain array and return the array."""
+    if isinstance(C, CostMatrix):
+        return C.entries
+    return np.asarray(C, dtype=float)
+
+
 def squared_euclidean_cost(X, Y) -> CostMatrix:
     """Cost matrix of pairwise squared Euclidean distances."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -162,7 +169,7 @@ def cost_embedding(G1, G2, C: CostMatrix, jitter: float = 0.0) -> CostEmbeddingC
     """
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
-    Cm = C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    Cm = cost_entries(C)
     m, n = Cm.shape
     if G1.shape != (m, m) or G2.shape != (n, n):
         raise ShapeError(

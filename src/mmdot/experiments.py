@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial.distance import cdist
 
 from .dataio import LabeledDataset
 from .embeddings import squared_euclidean_cost
 from .errors import DatasetError, ShapeError
-from .kernels import GAUSSIAN, KernelSpec, gram, gram_entries
-from .solvers import SolverConfig, solve_admm, solve_emd_exact, solve_simplified
+from .kernels import GAUSSIAN, KernelSpec, gram
+from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import TransportMapModel, map_points_closed_form
 
 
@@ -136,27 +135,6 @@ def sample_gaussian(mean, cov, m, rng) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     factor = vecs * np.sqrt(np.maximum(vals, 0.0))
     return rng.standard_normal((m, cov.shape[0])) @ factor.T + mean
-
-
-def derive_beta(alpha, G1) -> np.ndarray:
-    """Conditional-embedding coefficients implied by alpha.
-
-    Solves the nonnegative least-squares consensus problem
-    ``min_{beta >= 0} ||alpha - G1 beta^T / m||_F^2`` exactly.  It
-    separates by column of ``alpha``: an all-zero column gets a zero row of
-    ``beta``, and every other column is one Lawson-Hanson active-set NNLS
-    solve against ``G1 / m``.  Exact fitting matters on the ill-conditioned
-    grams of well-spread samples, where an iterative fit can leave a
-    consensus residual far above that of ``beta = 0``.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    G1 = gram_entries(G1)
-    m, n = alpha.shape
-    A = G1 / m
-    beta = np.zeros((n, m))
-    for j in np.flatnonzero(np.any(alpha != 0.0, axis=0)):
-        beta[j] = nnls(A, alpha[:, j])[0]
-    return beta
 
 
 def _mse(pred, truth):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment, linprog, nnls
 
-from .embeddings import CostMatrix, marginal_residuals
+from .embeddings import cost_entries, marginal_residuals
 from .errors import NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
@@ -36,6 +36,8 @@ class SolverConfig:
     plain gram quadratic forms, ``nu1``/``nu2`` the same residuals in the
     element-wise-squared gram forms.  ``rho_admm`` is the ADMM penalty
     (fixed, no adaptive schedule, so traces are reproducible).
+    ``max_inner_iters`` bounds the inner Frank-Wolfe prox solve of each
+    ADMM cycle.
     """
 
     lambda1: float = 10.0
@@ -291,12 +293,6 @@ def _frank_wolfe_simplex(L, G1, G2, cfg, alpha0, max_iters, *,
     return alpha, trace
 
 
-def _cost_entries(C) -> np.ndarray:
-    if isinstance(C, CostMatrix):
-        return C.entries
-    return np.asarray(C, dtype=float)
-
-
 def _check_shapes(C, G1, G2):
     m, n = C.shape
     if G1.shape != (m, m):
@@ -313,7 +309,7 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     Initialization is the uniform coupling; the stop rule is the
     conditional-gradient duality gap falling below ``cfg.tol_gap``.
     """
-    Cm = _cost_entries(C)
+    Cm = cost_entries(C)
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
     m, n = _check_shapes(Cm, G1, G2)
@@ -329,56 +325,40 @@ def _clean_simplex(alpha):
     return out / out.sum()
 
 
-def _power_iteration_max_eig(G, iters=200):
-    """Largest eigenvalue of a symmetric PSD matrix, deterministic start."""
-    n = G.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam = float(v @ G @ v)
-    return lam
+def derive_beta(alpha, G1) -> np.ndarray:
+    """Conditional-embedding coefficients implied by alpha.
 
-
-# Kept so ADMM traces stay fixed; exact column-wise scipy nnls also meets criterion 4.
-def _nonneg_least_squares_pg(G, A, scale, X0, max_iters, lmax):
-    """min_{X >= 0} ||A - (G @ X) * scale||_F^2 by projected gradient.
-
-    ``lmax`` is the largest eigenvalue of ``G`` so the step 1/L with
-    L = 2 (scale * lmax)^2 is computed once by the caller.
+    Solves the nonnegative least-squares consensus problem
+    ``min_{beta >= 0} ||alpha - G1 beta^T / m||_F^2`` exactly.  It
+    separates by column of ``alpha``: an all-zero column gets a zero row of
+    ``beta``, and every other column is one Lawson-Hanson active-set NNLS
+    solve against ``G1 / m``.  Exact fitting matters on the ill-conditioned
+    grams of well-spread samples, where an iterative fit can leave a
+    consensus residual far above that of ``beta = 0``.
     """
-    L = 2.0 * (scale * lmax) ** 2
-    step = 1.0 / L if L > 0 else 1.0
-    X = X0.copy()
-    GG = G @ G
-    GA = G @ A
-    for _ in range(max_iters):
-        grad = 2.0 * scale * scale * (GG @ X) - 2.0 * scale * GA
-        Xn = np.maximum(X - step * grad, 0.0)
-        if np.max(np.abs(Xn - X)) <= 1e-14:
-            X = Xn
-            break
-        X = Xn
-    return X
+    alpha = np.asarray(alpha, dtype=float)
+    G1 = gram_entries(G1)
+    m, n = alpha.shape
+    A = G1 / m
+    beta = np.zeros((n, m))
+    for j in np.flatnonzero(np.any(alpha != 0.0, axis=0)):
+        beta[j] = nnls(A, alpha[:, j])[0]
+    return beta
 
 
 def solve_admm(C, G1, G2, cfg: SolverConfig):
     """Consensus ADMM with explicit nonnegative ``beta`` and ``gamma``.
 
     Each cycle minimizes the proximal penalized objective for ``alpha``
-    over the simplex (inner conditional-gradient solver), performs
-    projected-gradient nonnegative least squares for ``beta`` and
-    ``gamma`` against the consensus relations
-    ``alpha = G1 beta^T / m`` and ``alpha = gamma G2 / n``, then takes the
-    plain dual ascent updates.  Stops when both primal residuals fall
-    below ``cfg.tol_residual``; running out of budget returns
-    ``converged=False`` rather than raising.
+    over the simplex (inner conditional-gradient solver, at most
+    ``cfg.max_inner_iters`` iterations), fits ``beta`` and ``gamma``
+    exactly to the consensus relations ``alpha = G1 beta^T / m`` and
+    ``alpha = gamma G2 / n`` with the column-wise NNLS of ``derive_beta``,
+    then takes the plain dual ascent updates.  Stops when both primal
+    residuals fall below ``cfg.tol_residual``; running out of budget
+    returns ``converged=False`` rather than raising.
     """
-    Cm = _cost_entries(C)
+    Cm = cost_entries(C)
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
     m, n = _check_shapes(Cm, G1, G2)
@@ -389,9 +369,6 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     gamma = np.zeros((m, n))
     D1 = np.zeros((m, n))
     D2 = np.zeros((m, n))
-
-    lmax1 = _power_iteration_max_eig(G1)
-    lmax2 = _power_iteration_max_eig(G2)
 
     zero = np.zeros((m, n))
     objs = []
@@ -407,15 +384,9 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         )
 
         # beta update: min_{beta>=0} ||alpha + D1 - G1 beta^T / m||^2
-        Bt = _nonneg_least_squares_pg(
-            G1, alpha + D1, 1.0 / m, beta.T, cfg.max_inner_iters, lmax1
-        )
-        beta = Bt.T
-        # gamma update: min_{gamma>=0} ||alpha + D2 - gamma G2 / n||^2
-        Gt = _nonneg_least_squares_pg(
-            G2, (alpha + D2).T, 1.0 / n, gamma.T, cfg.max_inner_iters, lmax2
-        )
-        gamma = Gt.T
+        beta = derive_beta(alpha + D1, G1)
+        # gamma update: min_{gamma>=0} ||(alpha + D2)^T - G2 gamma^T / n||^2
+        gamma = derive_beta((alpha + D2).T, G2)
 
         P1 = alpha - (G1 @ beta.T) / m
         P2 = alpha - (gamma @ G2) / n
@@ -465,7 +436,7 @@ def solve_emd_exact(C, m=None, n=None):
     solve.  Otherwise the transportation LP goes to HiGHS.  Returns
     ``(coupling, objective)``.
     """
-    Cm = _cost_entries(C)
+    Cm = cost_entries(C)
     if Cm.ndim != 2:
         raise ShapeError("cost matrix must be 2-d")
     mm, nn = Cm.shape

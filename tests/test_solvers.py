@@ -14,6 +14,7 @@ from mmdot.errors import ShapeError
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
+    derive_beta,
     solve_admm,
     solve_emd_exact,
     solve_simplified,
@@ -184,6 +185,36 @@ class TestSolveAdmm:
         # Final cleanup renormalizes alpha; allow a small slack over the stop tol.
         assert res1 <= 2e-4 and res2 <= 2e-4
         assert np.all(plan.beta >= 0.0) and np.all(plan.gamma >= 0.0)
+
+    @pytest.mark.parametrize("m,n", [(4, 7), (7, 4)])
+    def test_rectangular_instance_converges(self, m, n):
+        C, G1, G2 = gaussian_instance(7, m=m, n=n)
+        cfg = SolverConfig(
+            rho_admm=200.0,
+            max_outer_iters=500,
+            max_inner_iters=300,
+            tol_residual=1e-4,
+            tol_gap=1e-9,
+        )
+        plan, trace = solve_admm(C, G1, G2, cfg)
+        assert trace.converged
+        assert plan.beta.shape == (n, m) and plan.gamma.shape == (m, n)
+        res1 = np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / m)
+        res2 = np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / n)
+        assert res1 <= 2e-4 and res2 <= 2e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_beta_gamma_step_is_exact_fit(self, seed):
+        # One cycle leaves the duals at zero, so the beta/gamma step fits
+        # the returned alpha itself.
+        C, G1, G2 = gaussian_instance(seed, m=12, n=12, d=2)
+        plan, _ = solve_admm(C, G1, G2, SolverConfig(max_outer_iters=1))
+        np.testing.assert_allclose(
+            plan.beta, derive_beta(plan.alpha, G1), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            plan.gamma, derive_beta(plan.alpha.T, G2), rtol=0, atol=1e-12
+        )
 
     def test_budget_exhaustion_returns_unconverged(self):
         C, G1, G2 = gaussian_instance(3)
