@@ -279,7 +279,7 @@ def _add_solver_flags(p):
     p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
     p.add_argument(
         "--max-inner-iters", type=int, default=500, dest="max_inner_iters",
-        help="FW iterations of the prox solve in each ADMM cycle",
+        help="APG steps of the prox solve in each ADMM cycle",
     )
     p.add_argument("--tol", type=float, default=1e-8, help="duality-gap stop")
     p.add_argument(

@@ -3,8 +3,8 @@
 Deliberately brute-force and structurally unrelated to the library's own
 algorithms: transportation-polytope vertex enumeration and a dense-LP
 solve for exact discrete OT, dense grid search over the joint simplex for
-the penalized objective, and plain scalar expansions for embedding
-quantities.
+the penalized objective, plain scalar expansions for embedding
+quantities, and bisection on the threshold for the simplex projection.
 """
 
 import itertools
@@ -139,6 +139,28 @@ def simplex_grid_min(C, G1, G2, lam1, lam2, nu1, nu2, step):
             vals += nu2 * np.einsum("ki,ij,kj->k", r2, G2 * G2, r2)
             best = min(best, float(vals.min()))
     return best
+
+
+def simplex_projection_by_bisection(v):
+    """Euclidean projection onto {x >= 0, sum x = 1} by bisection on theta.
+
+    The projection is ``max(v - theta, 0)`` for the theta at which its
+    entries sum to one.  That sum is continuous and non-increasing in theta,
+    at least 1 at ``min(v) - 1`` and 0 at ``max(v)``, so bisecting down to
+    adjacent floats pins theta without any sorting.
+    """
+    v = np.asarray(v, dtype=float)
+    lo, hi = float(v.min()) - 1.0, float(v.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.maximum(v - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    candidates = [np.maximum(v - t, 0.0) for t in (lo, hi)]
+    return min(candidates, key=lambda x: abs(x.sum() - 1.0))
 
 
 def mmd_squared_scalar(kfunc, A, B):

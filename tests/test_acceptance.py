@@ -152,12 +152,14 @@ def test_criterion_04_admm_consensus(announce):
     t0 = time.perf_counter()
     worst_res = 0.0
     worst_iters = 0
+    cap_hits = 0
     all_converged = True
     for seed in range(10):
         C, G1, G2 = gaussian_instance(seed)
         plan, trace = solve_admm(C, G1, G2, cfg)
         all_converged &= trace.converged
         worst_iters = max(worst_iters, trace.iters_used)
+        cap_hits += trace.inner_cap_hits
         r1 = float(np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / 5.0))
         r2 = float(np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / 5.0))
         worst_res = max(worst_res, r1, r2)
@@ -166,12 +168,13 @@ def test_criterion_04_admm_consensus(announce):
         all_converged
         and worst_iters <= 500
         and worst_res < 1e-4
+        and cap_hits == 0
         and elapsed < budget
     )
     report(
         announce, 4, "consensus solver", ok,
         f"worst residual {worst_res:.2e}, worst cycles {worst_iters}, "
-        f"{elapsed:.1f}s / {budget:.0f}s",
+        f"capped prox solves {cap_hits}, {elapsed:.1f}s / {budget:.0f}s",
     )
 
 

@@ -7,13 +7,15 @@ from oracles import (
     emd_by_vertex_enumeration,
     penalized_objective,
     simplex_grid_min,
+    simplex_projection_by_bisection,
 )
 
 from mmdot.embeddings import CostMatrix, squared_euclidean_cost
-from mmdot.errors import ShapeError
+from mmdot.errors import NumericalFailureError, ShapeError
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
+    _project_simplex,
     derive_beta,
     solve_admm,
     solve_emd_exact,
@@ -30,6 +32,21 @@ def gaussian_instance(seed, m=5, n=5, d=3):
     G1 = gram(GAUSS1, X, X)
     G2 = gram(GAUSS1, Y, Y)
     return squared_euclidean_cost(X, Y), G1, G2
+
+
+def blob_instance(seed, per_class=12, sigma=0.5):
+    """Two-cluster source and shifted target, sized like the domain-adaptation runs."""
+    rng = np.random.default_rng(seed)
+
+    def blobs(shift):
+        centers = np.array([(0.0, 0.0), (3.0, 3.0)]) + np.asarray(shift)
+        return np.vstack(
+            [rng.normal(scale=0.15, size=(per_class, 2)) + c for c in centers]
+        )
+
+    X, Y = blobs((0.0, 0.0)), blobs((1.5, -1.0))
+    kernel = KernelSpec(GAUSSIAN, sigma=sigma)
+    return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
 
 
 class TestSolverConfig:
@@ -180,6 +197,7 @@ class TestSolveAdmm:
         )
         plan, trace = solve_admm(C, G1, G2, cfg)
         assert trace.converged
+        assert trace.inner_cap_hits == 0
         res1 = np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / 5.0)
         res2 = np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / 5.0)
         # Final cleanup renormalizes alpha; allow a small slack over the stop tol.
@@ -216,6 +234,44 @@ class TestSolveAdmm:
             plan.gamma, derive_beta(plan.alpha.T, G2), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_prox_step_is_exact(self, seed):
+        # With one cycle the duals, beta and gamma are still zero, so the
+        # prox center is C / (2 rho).  At the prox minimizer the FW gap of
+        # the prox objective vanishes.
+        C, G1, G2 = blob_instance(seed)
+        rho = 200.0
+        cfg = SolverConfig(rho_admm=rho, max_outer_iters=1, max_inner_iters=300)
+        plan, trace = solve_admm(C, G1, G2, cfg)
+        a = plan.alpha
+        m, n = a.shape
+        K1, K2 = G1.entries, G2.entries
+        H1 = cfg.lambda1 * K1 + cfg.nu1 * K1 * K1
+        H2 = cfg.lambda2 * K2 + cfg.nu2 * K2 * K2
+        u1 = a.sum(axis=1) - 1.0 / m
+        u2 = a.sum(axis=0) - 1.0 / n
+        shifted = a + C.entries / (2.0 * rho)
+        f = u1 @ H1 @ u1 + u2 @ H2 @ u2 + rho * np.sum(shifted**2)
+        g = 2.0 * (H1 @ u1)[:, None] + 2.0 * (H2 @ u2)[None, :] + 2.0 * rho * shifted
+        gap = float(np.sum(g * a) - g.min())
+        assert trace.inner_cap_hits == 0
+        assert gap <= 1e-9 * (1.0 + f)
+
+    def test_inner_cap_hits_count_capped_cycles(self):
+        C, G1, G2 = blob_instance(0)
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=4, max_inner_iters=1)
+        _, trace = solve_admm(C, G1, G2, cfg)
+        assert trace.iters_used == 4
+        assert trace.inner_cap_hits == trace.iters_used
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_raises(self, bad):
+        C, G1, G2 = gaussian_instance(3)
+        cost = C.entries.copy()
+        cost[1, 2] = bad
+        with pytest.raises(NumericalFailureError):
+            solve_admm(cost, G1, G2, SolverConfig(max_outer_iters=3))
+
     def test_budget_exhaustion_returns_unconverged(self):
         C, G1, G2 = gaussian_instance(3)
         cfg = SolverConfig(max_outer_iters=3, max_inner_iters=10, tol_residual=1e-12)
@@ -241,6 +297,38 @@ class TestSolveAdmm:
         assert np.array_equal(p1.alpha, p2.alpha)
         assert np.array_equal(p1.beta, p2.beta)
         assert np.array_equal(p1.gamma, p2.gamma)
+
+
+class TestProjectSimplex:
+    @pytest.mark.parametrize("n", [1, 5, 576])
+    @pytest.mark.parametrize("kind", ["wide", "narrow", "tied", "constant"])
+    def test_matches_bisection_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        v = {
+            "wide": lambda: rng.normal(size=n),
+            "narrow": lambda: rng.normal(scale=1.0 / n, size=n),
+            "tied": lambda: rng.integers(-2, 3, size=n) / 4.0,
+            "constant": lambda: np.full(n, 0.3),
+        }[kind]()
+        x = _project_simplex(v)
+        assert np.all(x >= 0.0)
+        assert abs(x.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(
+            x, simplex_projection_by_bisection(v), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 5, 576])
+    def test_identity_on_simplex(self, n):
+        rng = np.random.default_rng(n)
+        sparse_point = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.3)
+        sparse_point[0] += 1.0 - sparse_point.sum()
+        for p in (
+            np.full(n, 1.0 / n),
+            np.eye(n)[n - 1],
+            rng.dirichlet(np.ones(n)),
+            sparse_point,
+        ):
+            np.testing.assert_allclose(_project_simplex(p), p, rtol=0, atol=1e-12)
 
 
 class TestSolveEmdExact:
