@@ -8,9 +8,9 @@ version, input digests, and wall-clock runtime, so any result can be
 replayed.  All inputs are local files or flags; no network, no environment
 variables.
 
-Exit codes: 0 success, 1 input/usage error, 2 solver ran but did not
-converge within budget, or an experiment record failed (results are still
-written).
+Exit codes: 0 success, 1 input/usage error, 2 a solve (any solve of a
+study, including the sample-complexity reference) did not converge, or an
+experiment record failed (results are still written).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def cmd_eval_gaussian(args):
     )
     write_json(args.out, report.to_dict())
     _finish(args, [], t0)
-    return 2 if any(r["failed"] for r in report.records) else 0
+    return 2 if any(r["failed"] or not r["converged"] for r in report.records) else 0
 
 
 def cmd_sample_complexity(args):
@@ -243,7 +243,8 @@ def cmd_sample_complexity(args):
     )
     write_json(args.out, report.to_dict())
     _finish(args, [], t0)
-    return 0
+    converged = [r["converged"] for r in report.records]
+    return 0 if all(converged) and report.details["ref_converged"] else 2
 
 
 def cmd_domain_adapt(args):
@@ -267,7 +268,7 @@ def cmd_domain_adapt(args):
         [args.source, args.target_train, args.target_test, args.oos_source],
         t0,
     )
-    return 0
+    return 0 if report.records[0]["converged"] else 2
 
 
 def _add_solver_flags(p):
@@ -276,12 +277,14 @@ def _add_solver_flags(p):
     p.add_argument("--nu1", type=float, default=10.0)
     p.add_argument("--nu2", type=float, default=10.0)
     p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty")
-    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters",
+                   help="outer Frank-Wolfe iterations, or ADMM cycles")
     p.add_argument(
         "--max-inner-iters", type=int, default=500, dest="max_inner_iters",
         help="APG steps of the prox solve in each ADMM cycle",
     )
-    p.add_argument("--tol", type=float, default=1e-8, help="duality-gap stop")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="Frank-Wolfe duality-gap stop; stopping above it exits 2")
     p.add_argument(
         "--tol-residual", type=float, default=1e-6, help="ADMM residual stop"
     )

@@ -2,9 +2,10 @@
 
 Three routes are provided:
 
-* ``solve_simplified`` -- conditional-gradient (Frank-Wolfe with away and
-  pairwise steps, exact line search) minimization of the penalized plan
-  objective over the joint probability simplex.
+* ``solve_simplified`` -- fully-corrective conditional-gradient (Frank-Wolfe)
+  minimization of the penalized plan objective over the joint probability
+  simplex: it starts at a vertex, adds one vertex per outer iteration and
+  solves the objective exactly on the support with one NNLS.
 * ``solve_admm`` -- consensus ADMM for the variant that carries explicit
   nonnegative conditional-embedding coefficients ``beta`` and ``gamma``
   tied to ``alpha`` through the gram matrices; the proximal ``alpha`` step
@@ -40,8 +41,10 @@ class SolverConfig:
     plain gram quadratic forms, ``nu1``/``nu2`` the same residuals in the
     element-wise-squared gram forms.  ``rho_admm`` is the ADMM penalty
     (fixed, no adaptive schedule, so traces are reproducible).
-    ``max_inner_iters`` bounds the accelerated projected-gradient steps of
-    the prox solve in each ADMM cycle.
+    ``max_outer_iters`` bounds the outer Frank-Wolfe iterations (one support
+    solve each) or the ADMM cycles; ``max_inner_iters`` bounds the
+    accelerated projected-gradient steps of the prox solve in each ADMM
+    cycle.  ``tol_gap`` is the Frank-Wolfe duality-gap stop.
     """
 
     lambda1: float = 10.0
@@ -97,24 +100,67 @@ class PlanCoefficients:
     gamma: np.ndarray | None = None
 
 
-def _line_search(a, b, t_max):
-    """Exact step for the quadratic f(alpha + t d) = f + b t + a t^2.
+def _support_qp(Q, c):
+    """Minimize ``a^T Q a + c^T a`` over the probability simplex exactly.
 
-    Returns ``(t, predicted_decrease)`` with the step clipped to
-    ``[0, t_max]``; ``a <= 0`` means the quadratic is non-convex along
-    ``d`` and the full step is taken.
+    On the simplex ``c^T a = a^T sym(c 1^T) a`` and ``t (1^T a)^2 = t``, so
+    the problem is ``min a^T M a`` with ``M = Q + sym(c 1^T) + t 1 1^T``.
+    With ``A = Q + sym(c 1^T)``, the smallest ``t`` that makes ``M``
+    positive semidefinite is the negated minimum of ``a^T A a`` on the
+    hyperplane ``1^T a = 1``, ``-1 / (1^T A^-1 1)``, finite when ``Q`` is
+    definite; ``A`` is shifted only when it is indefinite.  With
+    ``M = R^T R`` (``eigh``) the minimum-norm point of the convex hull of
+    the columns of ``R`` is ``b / sum(b)`` for
+    ``b = nnls([R; 1^T], [0; 1])`` (Lawson & Hanson 1974, ch. 23;
+    Wolfe 1976).
     """
-    if a <= 0.0:
-        t = t_max
-    else:
-        t = min(max(-b / (2.0 * a), 0.0), t_max)
-    if not np.isfinite(t):
-        t = 0.0
-    return t, b * t + a * t * t
+    k = c.size
+    ones = np.ones(k)
+    A = Q + 0.5 * (c[:, None] + c[None, :])
+    w, V = np.linalg.eigh(A)
+    if w[0] < 0.0:
+        z = V.T @ ones
+        A += (-1.0 / float(np.sum(z * z / w))) * np.outer(ones, ones)
+        w, V = np.linalg.eigh(A)
+    R = np.sqrt(np.maximum(w, 0.0))[:, None] * V.T
+    b = nnls(np.vstack([R, ones]), np.concatenate([np.zeros(k), [1.0]]))[0]
+    return b / b.sum()
 
 
-def _frank_wolfe_simplex(L, G1, G2, cfg, alpha0, max_iters):
-    """Conditional-gradient loop over the joint probability simplex.
+def _forest_cycle(support, s, m, n):
+    """Path of support cells that closes a cycle with cell ``s``, if any.
+
+    The support is read as a bipartite graph, row ``i`` and column ``j``
+    joined by an edge for each cell ``(i, j)``.  Returns ``None`` when the
+    row and column of ``s`` are not yet connected, otherwise the path of
+    cells from column ``j`` back to row ``i``: signs ``-1, +1, -1, ...``
+    along it, with ``+1`` on ``s``, keep every row and column sum fixed.
+    """
+    si, sj = divmod(s, n)
+    adj = {}
+    for cell in support:
+        i, j = divmod(cell, n)
+        adj.setdefault(i, []).append((m + j, cell))
+        adj.setdefault(m + j, []).append((i, cell))
+    prev = {si: None}
+    queue = [si]
+    for node in queue:
+        for nb, cell in adj.get(node, ()):
+            if nb not in prev:
+                prev[nb] = (node, cell)
+                queue.append(nb)
+    if m + sj not in prev:
+        return None
+    path = []
+    node = m + sj
+    while prev[node] is not None:
+        node, cell = prev[node]
+        path.append(cell)
+    return path
+
+
+def _frank_wolfe_simplex(L, G1, G2, cfg):
+    """Fully-corrective conditional gradient over the joint probability simplex.
 
     Minimizes the penalized plan objective
 
@@ -124,74 +170,57 @@ def _frank_wolfe_simplex(L, G1, G2, cfg, alpha0, max_iters):
                  + nu2  ||alpha^T 1 - 1/n||^2_{G2*G2}
 
     where ``lam1, lam2, nu1, nu2`` are ``cfg.lambda1, cfg.lambda2, cfg.nu1,
-    cfg.nu2``.  Starts at ``alpha0`` and stops once the duality gap falls
-    below ``cfg.tol_gap`` or after ``max_iters`` iterations.
-    ``solve_simplified`` is the only caller; the ADMM route solves its
-    proximal step with ``_prox_simplex`` instead.
+    cfg.nu2`` (Holloway's fully-corrective Frank-Wolfe; Lacoste-Julien &
+    Jaggi, NeurIPS 2015).  It starts at the vertex ``argmin L``.  Each outer
+    iteration forms the full gradient and stops once the duality gap is at
+    most ``cfg.tol_gap``; otherwise it adds the best vertex ``s`` to the
+    support and solves the objective exactly on the support with one NNLS
+    (``_support_qp``).  With ``H = lam G + nu G*G`` that support problem is
+    ``min a^T Q a + c^T a`` with ``Q = H1[I, I] + H2[J, J]``.
 
-    Plain Frank-Wolfe only closes the duality gap at a sublinear rate on
-    these quadratics, which is far too slow for the gap targets this
-    library promises.  Each iteration therefore evaluates three candidate
-    directions -- the classical FW step toward the best vertex, the away
-    step off the worst active vertex, and the pairwise step that moves mass
-    directly from the worst to the best vertex -- and takes the one whose
-    exact line search predicts the largest decrease.  The pairwise step is
-    what rescues heavily regularized instances: swapping mass inside one
-    row or column barely changes the marginals, so the curvature along it
-    collapses and the step stays large.
+    ``Q`` is singular when the support's cells close a cycle in the
+    row/column bipartite graph: the marginals, and so the quadratic part,
+    do not change along the cycle while the cost does.  So before the
+    support solve the loop takes the exact line-searched FW step toward
+    ``s``, which makes every support cell positive, and then pushes mass
+    downhill round the one cycle ``s`` may close until a cell empties.  The
+    support stays a forest, on which ``Q`` is definite when the grams are.
 
-    Simplex vertices are single-entry matrices, so the active set is
-    simply the support of ``alpha`` and no weight bookkeeping is needed.
-    Tie-breaking everywhere is first-occurrence in row-major order, which
-    keeps runs bit-reproducible.
-
-    The marginals, the linear term, and the curvature of every candidate
-    direction are maintained from vectors and gram identities instead of
-    forming per-direction matrices, so each iteration touches the full
-    plan only for the gradient scan and the iterate update; the cached
-    quantities are recomputed from scratch periodically to stop rounding
-    drift from accumulating.
+    If ``s`` already lies in the support after an exact support solve, the
+    iterate is a fixed point of the loop: it stops there, converged only if
+    the gap met ``cfg.tol_gap``.  ``cfg.max_outer_iters`` bounds the outer
+    iterations; the returned plan is the last one evaluated.  Tie-breaking
+    is first-occurrence in row-major order, so runs are bit-reproducible.
     """
-    alpha = alpha0.copy()
-    m, n = alpha.shape
-    G1sq, G2sq = G1 * G1, G2 * G2
-    lam1, lam2, nu1, nu2 = cfg.lambda1, cfg.lambda2, cfg.nu1, cfg.nu2
-    tol_gap = cfg.tol_gap
-    u_m, u_n = 1.0 / m, 1.0 / n
-    # Row sums of the grams turn G @ u into G @ r without a second matvec.
-    ones1, ones1sq = G1.sum(axis=1), G1sq.sum(axis=1)
-    ones2, ones2sq = G2.sum(axis=1), G2sq.sum(axis=1)
+    m, n = L.shape
+    H1 = cfg.lambda1 * G1 + cfg.nu1 * (G1 * G1)
+    H2 = cfg.lambda2 * G2 + cfg.nu2 * (G2 * G2)
+    h1 = 2.0 * H1.sum(axis=1) / m
+    h2 = 2.0 * H2.sum(axis=1) / n
+    Lf = L.ravel()
+    support = [int(np.argmin(Lf))]
+    alpha = np.zeros((m, n))
+    alpha.flat[support[0]] = 1.0
 
     objs = []
     gaps = []
     converged = False
-    r1 = r2 = None
-    lin = 0.0
-    for it in range(max_iters):
-        if it % 128 == 0:  # periodic exact refresh of the cached state
-            r1 = alpha.sum(axis=1)
-            r2 = alpha.sum(axis=0)
-            lin = float(np.sum(alpha * L))
-        u1 = r1 - u_m
-        u2 = r2 - u_n
-        G1u, G1su = G1 @ u1, G1sq @ u1
-        G2u, G2su = G2 @ u2, G2sq @ u2
-        g = L + (2.0 * (lam1 * G1u + nu1 * G1su))[:, None]
-        g += 2.0 * (lam2 * G2u + nu2 * G2su)
-        obj = (
-            lin
-            + lam1 * float(u1 @ G1u) + nu1 * float(u1 @ G1su)
-            + lam2 * float(u2 @ G2u) + nu2 * float(u2 @ G2su)
-        )
+    for it in range(cfg.max_outer_iters):
+        u1 = alpha.sum(axis=1) - 1.0 / m
+        u2 = alpha.sum(axis=0) - 1.0 / n
+        H1u, H2u = H1 @ u1, H2 @ u2
+        g = L + (2.0 * H1u)[:, None] + 2.0 * H2u
+        obj = float(np.sum(alpha * L)) + float(u1 @ H1u) + float(u2 @ H2u)
         if not np.isfinite(obj) or not np.all(np.isfinite(g)):
             raise NumericalFailureError(
                 "non-finite objective or gradient",
                 trace=SolveTrace(np.array(objs), np.array(gaps), len(objs), False),
             )
         if objs:
-            # Exact line search makes the true objective non-increasing; a
-            # fresh evaluation can still wobble by an ulp, so record the
-            # running minimum and treat any material increase as a bug.
+            # Every step is an exact minimization, so the true objective is
+            # non-increasing; a fresh evaluation can still wobble by an ulp,
+            # so record the running minimum and treat any material increase
+            # as a bug.
             if obj > objs[-1] + 1e-8 * (1.0 + abs(objs[-1])):
                 raise NumericalFailureError(
                     f"objective increased from {objs[-1]!r} to {obj!r}",
@@ -199,91 +228,48 @@ def _frank_wolfe_simplex(L, G1, G2, cfg, alpha0, max_iters):
                 )
             obj = min(obj, objs[-1])
         gf = g.ravel()
-        af = alpha.ravel()
-        inner = float(gf @ af)
         s = int(np.argmin(gf))
-        fw_gap = inner - float(gf[s])
+        fw_gap = float(gf @ alpha.ravel()) - float(gf[s])
         objs.append(obj)
         gaps.append(fw_gap)
-        if fw_gap <= tol_gap:
-            converged = True
+        converged = fw_gap <= cfg.tol_gap
+        if converged or s in support or it + 1 == cfg.max_outer_iters:
             break
 
-        masked = np.where(af > 0.0, gf, -np.inf)
-        v = int(np.argmax(masked))
-        away_gap = float(gf[v]) - inner
-        wv = float(af[v])
+        # Exact FW step toward s: the marginals move by (e_i - r1, e_j - r2).
         si, sj = divmod(s, n)
-        vi, vj = divmod(v, n)
+        d1 = -u1 - 1.0 / m
+        d1[si] += 1.0
+        d2 = -u2 - 1.0 / n
+        d2[sj] += 1.0
+        curv = float(d1 @ H1 @ d1) + float(d2 @ H2 @ d2)
+        step = min(fw_gap / (2.0 * curv), 1.0) if curv > 0.0 else 1.0
+        alpha *= 1.0 - step
+        alpha.flat[s] += step
+        if step == 1.0:
+            support = []
+        path = _forest_cycle(support, s, m, n)
+        support.append(s)
+        if path is not None:
+            # Along the cycle the marginals are fixed, so f is linear in the
+            # push with slope <L, d>.  Pushing downhill empties the smallest
+            # shrinking cell first; the support solve below starts afresh,
+            # so only that cell's exit is needed.
+            cells = np.array([s] + path)
+            signs = np.resize([1.0, -1.0], cells.size)
+            if float(signs @ Lf[cells]) > 0.0:
+                signs = -signs
+            shrink = cells[signs < 0.0]
+            support.remove(int(shrink[np.argmin(alpha.flat[shrink])]))
 
-        # Curvatures along (e - alpha) and (alpha - e) expand into the
-        # vertex gram entry, the gram-marginal product, and the marginal
-        # quadratic form, all of which are already at hand.
-        G1r, G1sr = G1u + ones1 * u_m, G1su + ones1sq * u_m
-        G2r, G2sr = G2u + ones2 * u_n, G2su + ones2sq * u_n
-        r1q = lam1 * float(r1 @ G1r) + nu1 * float(r1 @ G1sr)
-        r2q = lam2 * float(r2 @ G2r) + nu2 * float(r2 @ G2sr)
+        idx = np.array(support)
+        I, J = idx // n, idx % n
+        Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
+        a = _support_qp(Q, Lf[idx] - h1[I] - h2[J])
+        alpha.fill(0.0)
+        alpha.flat[idx] = a
+        support = [cell for cell, w in zip(support, a) if w > 0.0]
 
-        def vertex_curvature(i, j):
-            a = lam1 * (G1[i, i] - 2.0 * G1r[i]) + nu1 * (G1sq[i, i] - 2.0 * G1sr[i])
-            a += lam2 * (G2[j, j] - 2.0 * G2r[j]) + nu2 * (G2sq[j, j] - 2.0 * G2sr[j])
-            return float(a) + r1q + r2q
-
-        a_fw = vertex_curvature(si, sj)
-        a_aw = vertex_curvature(vi, vj)
-        a_pw = 0.0
-        if si != vi:
-            a_pw += lam1 * (G1[si, si] - 2.0 * G1[si, vi] + G1[vi, vi])
-            a_pw += nu1 * (G1sq[si, si] - 2.0 * G1sq[si, vi] + G1sq[vi, vi])
-        if sj != vj:
-            a_pw += lam2 * (G2[sj, sj] - 2.0 * G2[sj, vj] + G2[vj, vj])
-            a_pw += nu2 * (G2sq[sj, sj] - 2.0 * G2sq[sj, vj] + G2sq[vj, vj])
-
-        # Candidate 1: FW step toward vertex s.
-        t_fw, dec_fw = _line_search(a_fw, -fw_gap, 1.0)
-        # Candidate 2: away step off vertex v.
-        t_aw_max = wv / (1.0 - wv) if wv < 1.0 else np.inf
-        t_aw, dec_aw = _line_search(a_aw, -away_gap, t_aw_max)
-        # Candidate 3: pairwise step shifting mass from v to s.
-        t_pw, dec_pw = _line_search(float(a_pw), float(gf[s] - gf[v]), wv)
-
-        decs = (dec_fw, dec_pw, dec_aw)
-        best = int(np.argmin(decs))  # first occurrence: FW, then pairwise, away
-        if best == 0:
-            c = 1.0 - t_fw
-            alpha *= c
-            alpha.flat[s] += t_fw
-            r1 *= c
-            r1[si] += t_fw
-            r2 *= c
-            r2[sj] += t_fw
-            lin = c * lin + t_fw * L.flat[s]
-        elif best == 1:
-            alpha.flat[s] += t_pw
-            if t_pw == wv:
-                alpha.flat[v] = 0.0  # drop step: source vertex leaves exactly
-            else:
-                alpha.flat[v] = max(alpha.flat[v] - t_pw, 0.0)
-            r1[si] += t_pw
-            r1[vi] -= t_pw
-            r2[sj] += t_pw
-            r2[vj] -= t_pw
-            lin += t_pw * (L.flat[s] - L.flat[v])
-        else:
-            c = 1.0 + t_aw
-            alpha *= c
-            if t_aw == t_aw_max:
-                alpha.flat[v] = 0.0
-            else:
-                alpha.flat[v] = max(alpha.flat[v] - t_aw, 0.0)
-            r1 *= c
-            r1[vi] -= t_aw
-            r2 *= c
-            r2[vj] -= t_aw
-            lin = c * lin - t_aw * L.flat[v]
-
-    # Steps keep the simplex sum invariant up to rounding; only clamp.
-    np.maximum(alpha, 0.0, out=alpha)
     trace = SolveTrace(
         objective_per_iter=np.array(objs),
         gap_or_residual_per_iter=np.array(gaps),
@@ -306,17 +292,17 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     """Minimize the penalized plan objective over the joint simplex.
 
     Returns ``(PlanCoefficients with beta/gamma absent, SolveTrace)``.
-    Initialization is the uniform coupling; the stop rule is the
-    conditional-gradient duality gap falling below ``cfg.tol_gap``.
+    The solve starts at the vertex ``argmin C`` and stops once the
+    conditional-gradient duality gap is at most ``cfg.tol_gap``, at a fixed
+    point of the loop (reported unconverged unless the gap met the target),
+    or after ``cfg.max_outer_iters`` outer iterations; see
+    ``_frank_wolfe_simplex``.
     """
     Cm = cost_entries(C)
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
-    m, n = _check_shapes(Cm, G1, G2)
-    alpha0 = np.full((m, n), 1.0 / (m * n))
-    alpha, trace = _frank_wolfe_simplex(
-        Cm, G1, G2, cfg, alpha0, cfg.max_outer_iters
-    )
+    _check_shapes(Cm, G1, G2)
+    alpha, trace = _frank_wolfe_simplex(Cm, G1, G2, cfg)
     return PlanCoefficients(alpha=_clean_simplex(alpha)), trace
 
 

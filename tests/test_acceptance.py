@@ -9,10 +9,10 @@ Known limitation, left intentionally red: the discrete-OT reduction check
 program at lambda = nu = 1e3 and the exact solver on every instance.  The
 penalized optimum retains an O(1/lambda) bias that exceeds 1e-3 on a
 large fraction of random 3x3 integer instances even at the exact optimum
-(verified against an interior-point solver), and driving the
-conditional-gradient solver to that optimum at this conditioning costs
-thousands of iterations, which also breaks the 5 s budget.  The test
-states the requirement faithfully rather than weakening it.
+(verified against an interior-point solver).  The solver reaches that
+optimum well inside the 5 s budget, so the failures come from the bias
+alone.  The test states the requirement faithfully rather than weakening
+it.
 """
 
 import json

@@ -283,6 +283,28 @@ class TestExperimentCommands:
         doc = json.loads(out.read_text())
         assert "fitted_slope" in doc["details"]
 
+    def test_eval_gaussian_unconverged_exit_two(self, workdir):
+        out = workdir / "report.json"
+        code = run(
+            ["eval-gaussian", "--dim", 2, "--samples", "8", "--sigma", 1.0,
+             "--repeats", 1, "--oos-count", 8, "--max-iters", 1, "--out", out]
+        )
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["records"][0]["failed"] is False
+        assert doc["records"][0]["converged"] is False
+
+    def test_sample_complexity_unconverged_exit_two(self, workdir):
+        out = workdir / "slope.json"
+        code = run(
+            ["sample-complexity", "--dim", 2, "--samples", "5,10,20",
+             "--sigma", 1.0, "--max-iters", 1, "--out", out]
+        )
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["details"]["ref_converged"] is False
+        assert (workdir / "slope.json.manifest.json").exists()
+
     def test_domain_adapt_on_blob_fixture(self, workdir):
         rng = np.random.default_rng(0)
 
@@ -310,6 +332,25 @@ class TestExperimentCommands:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["records"][0]["accuracy_in_sample"] >= 0.9
+
+    def test_domain_adapt_unconverged_exit_two(self, workdir):
+        rng = np.random.default_rng(1)
+        paths = []
+        for name in ("src.csv", "tt.csv", "te.csv"):
+            paths.append(str(workdir / name))
+            write_matrix_csv(
+                paths[-1], rng.normal(size=(6, 2)), header=["f0", "f1"],
+                extra_columns=[("label", [0, 1] * 3)],
+            )
+        out = workdir / "da.json"
+        code = run(
+            ["domain-adapt", "--source", paths[0], "--target-train", paths[1],
+             "--target-test", paths[2], "--sigma", 0.5, "--max-iters", 1,
+             "--out", out]
+        )
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["records"][0]["converged"] is False
 
     def test_experiment_rerun_byte_identical(self, workdir):
         out = workdir / "slope.json"

@@ -318,6 +318,12 @@ def test_fit_plan_model_reports_condition_numbers():
     Y = rng.normal(size=(6, 2))
     model, plan, trace, info = fit_plan_model(X, Y, 1.0, SolverConfig())
     assert info["cond_G1"] >= 1.0 and info["cond_G2"] >= 1.0
+    # Well-conditioned grams: the eigenvalue ratio is the 2-norm condition.
+    kernel = KernelSpec(GAUSSIAN, sigma=1.0)
+    for key, P in (("cond_G1", X), ("cond_G2", Y)):
+        expected = np.linalg.cond(gram(kernel, P, P).entries)
+        assert expected < 1e6
+        assert info[key] == pytest.approx(expected, rel=1e-6)
     assert info["converged"] == trace.converged
     assert np.all(model.beta_star >= 0.0)
 

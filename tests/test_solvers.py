@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -10,8 +12,11 @@ from oracles import (
     simplex_projection_by_bisection,
 )
 
+from mmdot.cli import main as cli_main
+from mmdot.dataio import write_matrix_csv
 from mmdot.embeddings import CostMatrix, squared_euclidean_cost
 from mmdot.errors import NumericalFailureError, ShapeError
+from mmdot.experiments import make_gaussian_pair, sample_gaussian
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
@@ -154,6 +159,50 @@ class TestSolveSimplified:
         p2, t2 = solve_simplified(C, G1, G2, SolverConfig())
         assert np.array_equal(p1.alpha, p2.alpha)
         assert np.array_equal(t1.objective_per_iter, t2.objective_per_iter)
+
+    @pytest.mark.parametrize("seed", [3, 5, 6, 13, 15, 16, 18])
+    def test_cyclic_supports_converge(self, seed):
+        # On these instances the support closes a row/column cycle, where
+        # the support QP is singular; the cycle push must keep it solvable.
+        C, G1, G2 = gaussian_instance(seed)
+        _, trace = solve_simplified(C, G1, G2, SolverConfig(tol_gap=1e-10))
+        assert trace.converged
+        assert trace.gap_or_residual_per_iter[-1] <= 1e-10
+        assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
+
+    def test_fixed_point_stops_before_budget(self):
+        # Slope-study-shaped instance with an unreachable gap target: the
+        # loop stops at its fixed point instead of running the budget out.
+        pair = make_gaussian_pair(5, seed=0)
+        rng = np.random.default_rng([0, 50])
+        X = sample_gaussian(pair.mean1, pair.cov1, 50, rng)
+        Y = sample_gaussian(pair.mean2, pair.cov2, 50, rng)
+        kernel = KernelSpec(GAUSSIAN, sigma=5.0)
+        cfg = SolverConfig(tol_gap=1e-300, max_outer_iters=1200)
+        _, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y), cfg
+        )
+        assert trace.iters_used < 1200
+        assert trace.converged is False
+        assert trace.gap_or_residual_per_iter[-1] <= 1e-10
+
+    def test_cli_solve_converges_at_roundtrip_scale(self, tmp_path):
+        # d = 5, m = 150, sigma = 0.5: about 165 support cells at the optimum.
+        pair = make_gaussian_pair(5, seed=811)
+        rng = np.random.default_rng([811, 0xC11])
+        paths = []
+        for name, cov in (("x.csv", pair.cov1), ("y.csv", pair.cov2)):
+            paths.append(str(tmp_path / name))
+            write_matrix_csv(paths[-1], sample_gaussian(np.zeros(5), cov, 150, rng))
+        out = tmp_path / "plan.json"
+        code = cli_main(
+            ["solve", "--source", paths[0], "--target", paths[1], "--kernel",
+             "gaussian", "--sigma", "0.5", "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        assert doc["trace"]["final_gap_or_residual"] <= 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
