@@ -39,6 +39,7 @@ from .solvers import (
 from .transport_map import (
     MapWeights,
     TransportMapModel,
+    batch_weights,
     conditional_weights,
     load_model,
     map_point_closed_form,

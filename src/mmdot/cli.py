@@ -19,8 +19,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .dataio import (
     CsvFormatError,
@@ -47,7 +45,7 @@ from .kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, gram
 from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import (
     TransportMapModel,
-    conditional_weights,
+    batch_weights,
     load_model,
     map_point_sgd,
     map_points_closed_form,
@@ -179,14 +177,8 @@ def cmd_map(args):
     if args.method == "closed":
         mapped, fallback = map_points_closed_form(model, P)
     else:
-        rows, flags = [], []
-        for i in range(P.shape[0]):
-            flags.append(conditional_weights(model, P[i]).fallback_used)
-            rows.append(
-                map_point_sgd(model, P[i], steps=args.steps, seed=args.seed)
-            )
-        mapped = np.array(rows) if rows else np.zeros((0, model.target_dim))
-        fallback = np.array(flags, dtype=bool)
+        mapped = map_point_sgd(model, P, steps=args.steps, seed=args.seed)
+        fallback = batch_weights(model, P)[1]
     write_matrix_csv(
         args.out,
         mapped.reshape(-1, model.target_dim),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
 from .embeddings import cost_entries, marginal_residuals
@@ -103,56 +104,66 @@ class PlanCoefficients:
 def _support_qp(Q, c):
     """Minimize ``a^T Q a + c^T a`` over the probability simplex exactly.
 
-    On the simplex ``c^T a = a^T sym(c 1^T) a`` and ``t (1^T a)^2 = t``, so
-    the problem is ``min a^T M a`` with ``M = Q + sym(c 1^T) + t 1 1^T``.
-    With ``A = Q + sym(c 1^T)``, the smallest ``t`` that makes ``M``
-    positive semidefinite is the negated minimum of ``a^T A a`` on the
-    hyperplane ``1^T a = 1``, ``-1 / (1^T A^-1 1)``, finite when ``Q`` is
-    definite; ``A`` is shifted only when it is indefinite.  With
-    ``M = R^T R`` (``eigh``) the minimum-norm point of the convex hull of
-    the columns of ``R`` is ``b / sum(b)`` for
-    ``b = nnls([R; 1^T], [0; 1])`` (Lawson & Hanson 1974, ch. 23;
-    Wolfe 1976).
+    ``Q`` must be positive definite.  Factor ``Q = R^T R`` (Cholesky), solve
+    ``R^T y = -c / 2`` and set ``B = R - y 1^T``.  Then
+    ``B^T B = Q + sym(c 1^T) + ||y||^2 1 1^T``, and on the simplex, where
+    ``1^T a = 1``, ``a^T B^T B a = a^T Q a + c^T a + ||y||^2``: the problem
+    is the minimum-norm point of the convex hull of the columns of ``B``.
+    That point is ``b / sum(b)`` for ``b = nnls([B; 1^T], [0; 1])``
+    (Lawson & Hanson 1974, ch. 23; Wolfe 1976).  A ``Q`` that is not
+    numerically definite raises ``numpy.linalg.LinAlgError``.
     """
     k = c.size
-    ones = np.ones(k)
-    A = Q + 0.5 * (c[:, None] + c[None, :])
-    w, V = np.linalg.eigh(A)
-    if w[0] < 0.0:
-        z = V.T @ ones
-        A += (-1.0 / float(np.sum(z * z / w))) * np.outer(ones, ones)
-        w, V = np.linalg.eigh(A)
-    R = np.sqrt(np.maximum(w, 0.0))[:, None] * V.T
-    b = nnls(np.vstack([R, ones]), np.concatenate([np.zeros(k), [1.0]]))[0]
+    R = cholesky(Q)
+    y = solve_triangular(R, -0.5 * c, trans="T")
+    b = nnls(np.vstack([R - y[:, None], np.ones(k)]),
+             np.concatenate([np.zeros(k), [1.0]]))[0]
     return b / b.sum()
 
 
-def _forest_cycle(support, s, m, n):
+def _point_classes(G):
+    """Index of the first point identical to each point, read off the gram.
+
+    Points ``i`` and ``i'`` are identical to the kernel when
+    ``G[i, i] == G[i, i'] == G[i', i']``: their feature vectors coincide,
+    and so do their gram rows.
+    """
+    d = np.diag(G)
+    same = (G == d[:, None]) & (G == d[None, :])
+    return np.argmax(same, axis=0).tolist()
+
+
+def _forest_cycle(support, s, n, cls1, cls2):
     """Path of support cells that closes a cycle with cell ``s``, if any.
 
-    The support is read as a bipartite graph, row ``i`` and column ``j``
-    joined by an edge for each cell ``(i, j)``.  Returns ``None`` when the
-    row and column of ``s`` are not yet connected, otherwise the path of
-    cells from column ``j`` back to row ``i``: signs ``-1, +1, -1, ...``
-    along it, with ``+1`` on ``s``, keep every row and column sum fixed.
+    The support is read as a bipartite graph over classes of identical
+    points (``cls1``/``cls2`` from ``_point_classes`` of each gram): row
+    class ``cls1[i]`` and column class ``cls2[j]`` are joined by an edge for
+    each cell ``(i, j)``.  Returns ``None`` when the classes of the row and
+    column of ``s`` are not yet connected, otherwise the path of cells from
+    the column class of ``s`` back to its row class: signs
+    ``-1, +1, -1, ...`` along it, with ``+1`` on ``s``, keep every row and
+    column class sum fixed.
     """
+    m = len(cls1)
     si, sj = divmod(s, n)
     adj = {}
     for cell in support:
         i, j = divmod(cell, n)
-        adj.setdefault(i, []).append((m + j, cell))
-        adj.setdefault(m + j, []).append((i, cell))
-    prev = {si: None}
-    queue = [si]
+        u, v = cls1[i], m + cls2[j]
+        adj.setdefault(u, []).append((v, cell))
+        adj.setdefault(v, []).append((u, cell))
+    prev = {cls1[si]: None}
+    queue = [cls1[si]]
     for node in queue:
         for nb, cell in adj.get(node, ()):
             if nb not in prev:
                 prev[nb] = (node, cell)
                 queue.append(nb)
-    if m + sj not in prev:
+    node = m + cls2[sj]
+    if node not in prev:
         return None
     path = []
-    node = m + sj
     while prev[node] is not None:
         node, cell = prev[node]
         path.append(cell)
@@ -178,13 +189,18 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     (``_support_qp``).  With ``H = lam G + nu G*G`` that support problem is
     ``min a^T Q a + c^T a`` with ``Q = H1[I, I] + H2[J, J]``.
 
-    ``Q`` is singular when the support's cells close a cycle in the
-    row/column bipartite graph: the marginals, and so the quadratic part,
-    do not change along the cycle while the cost does.  So before the
+    Identical points have identical gram rows, so the penalty sees only the
+    mass on each class of identical points (``_point_classes``).  ``Q`` is
+    singular when the support's cells close a cycle in the bipartite graph
+    of row and column classes: the class marginals, and so the quadratic
+    part, do not change along the cycle while the cost does.  So before the
     support solve the loop takes the exact line-searched FW step toward
     ``s``, which makes every support cell positive, and then pushes mass
     downhill round the one cycle ``s`` may close until a cell empties.  The
-    support stays a forest, on which ``Q`` is definite when the grams are.
+    support stays a forest over the point classes, on which ``Q`` is
+    definite when each gram is definite over its distinct points; a ``Q``
+    that still fails its Cholesky factorization raises
+    ``NumericalFailureError``.
 
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
@@ -201,10 +217,16 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     support = [int(np.argmin(Lf))]
     alpha = np.zeros((m, n))
     alpha.flat[support[0]] = 1.0
+    cls1, cls2 = _point_classes(G1), _point_classes(G2)
 
     objs = []
     gaps = []
     converged = False
+
+    def failure(what):
+        trace = SolveTrace(np.array(objs), np.array(gaps), len(objs), False)
+        return NumericalFailureError(what, trace=trace)
+
     for it in range(cfg.max_outer_iters):
         u1 = alpha.sum(axis=1) - 1.0 / m
         u2 = alpha.sum(axis=0) - 1.0 / n
@@ -212,20 +234,14 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         g = L + (2.0 * H1u)[:, None] + 2.0 * H2u
         obj = float(np.sum(alpha * L)) + float(u1 @ H1u) + float(u2 @ H2u)
         if not np.isfinite(obj) or not np.all(np.isfinite(g)):
-            raise NumericalFailureError(
-                "non-finite objective or gradient",
-                trace=SolveTrace(np.array(objs), np.array(gaps), len(objs), False),
-            )
+            raise failure("non-finite objective or gradient")
         if objs:
             # Every step is an exact minimization, so the true objective is
             # non-increasing; a fresh evaluation can still wobble by an ulp,
             # so record the running minimum and treat any material increase
             # as a bug.
             if obj > objs[-1] + 1e-8 * (1.0 + abs(objs[-1])):
-                raise NumericalFailureError(
-                    f"objective increased from {objs[-1]!r} to {obj!r}",
-                    trace=SolveTrace(np.array(objs), np.array(gaps), len(objs), False),
-                )
+                raise failure(f"objective increased from {objs[-1]!r} to {obj!r}")
             obj = min(obj, objs[-1])
         gf = g.ravel()
         s = int(np.argmin(gf))
@@ -248,11 +264,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         alpha.flat[s] += step
         if step == 1.0:
             support = []
-        path = _forest_cycle(support, s, m, n)
+        path = _forest_cycle(support, s, n, cls1, cls2)
         support.append(s)
         if path is not None:
-            # Along the cycle the marginals are fixed, so f is linear in the
-            # push with slope <L, d>.  Pushing downhill empties the smallest
+            # Along the cycle the class marginals, and so the penalty, are
+            # fixed: f is linear in the push with slope <L, d>.  Pushing downhill empties the smallest
             # shrinking cell first; the support solve below starts afresh,
             # so only that cell's exit is needed.
             cells = np.array([s] + path)
@@ -265,7 +281,10 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         idx = np.array(support)
         I, J = idx // n, idx % n
         Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
-        a = _support_qp(Q, Lf[idx] - h1[I] - h2[J])
+        try:
+            a = _support_qp(Q, Lf[idx] - h1[I] - h2[J])
+        except np.linalg.LinAlgError as exc:
+            raise failure(f"support solve failed: {exc}") from exc
         alpha.fill(0.0)
         alpha.flat[idx] = a
         support = [cell for cell, w in zip(support, a) if w > 0.0]

@@ -24,6 +24,12 @@ from .kernels import KernelSpec, gram
 
 _WEIGHT_NEG_TOL = 1e-12
 _WEIGHT_SUM_FLOOR = 1e-12
+# The batch map evaluates the weights of at most this many points at once,
+# which bounds its m x N kernel and n x N weight blocks.
+_BLOCK_ROWS = 4096
+# The batch SGD map draws at most this many target indices at once (about
+# 32 MB), so a block holds max(1, _SGD_BLOCK_DRAWS // steps) points.
+_SGD_BLOCK_DRAWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class MapWeights:
     fallback_used: bool
 
 
-def _weights(model: TransportMapModel, X):
+def batch_weights(model: TransportMapModel, X):
     """Normalized conditional weights of a batch of points, one column each.
 
     Returns ``(W, fallback)`` with ``W`` n x N; ``fallback[k]`` flags the
@@ -119,10 +125,10 @@ def conditional_weights(model: TransportMapModel, x) -> MapWeights:
     distribution well defined.  If every weight is (numerically) zero, for
     example an out-of-sample point far from all sources under a narrow
     Gaussian kernel, uniform weights are used and flagged.  The batch map
-    ``map_points_closed_form`` uses the same weights.
+    ``map_points_closed_form`` uses the same weights (``batch_weights``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    W, fallback = _weights(model, x[None, :])
+    W, fallback = batch_weights(model, x[None, :])
     return MapWeights(
         weights=W[:, 0], normalized=True, fallback_used=bool(fallback[0])
     )
@@ -139,12 +145,20 @@ def map_point_closed_form(model: TransportMapModel, x) -> np.ndarray:
 def map_points_closed_form(model: TransportMapModel, X):
     """Vectorized closed-form map over a batch of source points.
 
-    Returns ``(mapped, fallback_flags)`` with one row per input row.
+    Returns ``(mapped, fallback_flags)`` with one row per input row.  The
+    weights are evaluated ``_BLOCK_ROWS`` points at a time, so memory stays
+    bounded however many points are mapped.
     """
     if model.cost_kind != SQEUCLIDEAN:
         raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
-    W, fallback = _weights(model, X)
-    return W.T @ model.target_points, fallback
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    mapped = np.empty((X.shape[0], model.target_dim))
+    fallback = np.empty(X.shape[0], dtype=bool)
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        W, fallback[block] = batch_weights(model, X[block])
+        mapped[block] = W.T @ model.target_points
+    return mapped, fallback
 
 
 def default_domain_radius(model: TransportMapModel) -> float:
@@ -154,10 +168,20 @@ def default_domain_radius(model: TransportMapModel) -> float:
     return max(2.0 * spread, 1e-12)
 
 
-def _subgradient(model: TransportMapModel, y, yj):
+def _subgradients(model: TransportMapModel, y, Yj):
+    """Subgradient of ``c(., Yj[k])`` at ``y[k]``, one row each."""
     if model.cost_kind == SQEUCLIDEAN:
-        return 2.0 * (y - yj)
-    return np.asarray(model.cost_grad(y, yj), dtype=float)
+        return 2.0 * (y - Yj)
+    return np.array([model.cost_grad(a, b) for a, b in zip(y, Yj)], dtype=float)
+
+
+def _row_norms(D):
+    """Euclidean norm of each row of ``D``.
+
+    Each norm is one dot product, as ``np.linalg.norm`` computes it for a
+    single vector, so a row's norm does not depend on the other rows.
+    """
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
 def map_point_sgd(
@@ -175,38 +199,64 @@ def map_point_sgd(
     size is ``step_scale / sqrt(t)``, and the iterate is projected onto the
     Euclidean ball of ``domain_radius`` around the weighted target mean.
     The running average of the iterates is returned.
+
+    ``x`` is one point or an N x d batch (the result is then N x target
+    dimension).  The rows of a batch run in lockstep, each with its own
+    weights, its own ``default_rng(seed)`` index stream and, unless
+    ``step_scale`` is given, its own step scale, so every row is bit for
+    bit what a call on that row alone returns.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
-    w = conditional_weights(model, x).weights
-    Y = model.target_points
-    center = w @ Y
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
     if domain_radius is None:
         domain_radius = default_domain_radius(model)
-    if step_scale is None:
-        # Scale so a unit-subgradient step at t=1 traverses a fraction of
-        # the feasible ball; keeps the variance of the averaged iterate low.
-        grad_bound = max(
-            float(np.linalg.norm(_subgradient(model, center, Y[j])))
-            for j in range(Y.shape[0])
+    rows = max(1, _SGD_BLOCK_DRAWS // steps)
+    out = np.empty((X.shape[0], model.target_dim))
+    for lo in range(0, X.shape[0], rows):
+        out[lo:lo + rows] = _sgd_lockstep(
+            model, X[lo:lo + rows], steps, step_scale, seed, domain_radius
         )
-        grad_bound = max(grad_bound, 2.0 * domain_radius, 1e-12)
-        step_scale = domain_radius / grad_bound
+    return out if x.ndim == 2 else out[0]
 
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(Y.shape[0], size=steps, p=w)
-    y = center.copy()
+
+def _sgd_lockstep(model, X, steps, step_scale, seed, radius):
+    """``map_point_sgd`` on the rows of ``X``, advanced one step at a time."""
+    Y = model.target_points
+    N = X.shape[0]
+    centers = np.empty((N, Y.shape[1]))
+    scales = np.empty(N)
+    idx = np.empty((steps, N), dtype=np.intp)
+    for k in range(N):
+        w = conditional_weights(model, X[k]).weights
+        centers[k] = w @ Y
+        if step_scale is None:
+            # Scale so a unit-subgradient step at t=1 traverses a fraction
+            # of the feasible ball; keeps the variance of the averaged
+            # iterate low.
+            G = _subgradients(model, np.broadcast_to(centers[k], Y.shape), Y)
+            grad_bound = max(float(_row_norms(G).max()), 2.0 * radius, 1e-12)
+            scales[k] = radius / grad_bound
+        else:
+            scales[k] = step_scale
+        idx[:, k] = np.random.default_rng(seed).choice(Y.shape[0], size=steps, p=w)
+
+    y = centers.copy()
     avg = np.zeros_like(y)
     for t in range(1, steps + 1):
-        g = _subgradient(model, y, Y[idx[t - 1]])
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailureError("non-finite subgradient")
-        y = y - (step_scale / np.sqrt(t)) * g
-        dy = y - center
-        nrm = float(np.linalg.norm(dy))
-        if nrm > domain_radius:
-            y = center + dy * (domain_radius / nrm)
+        g = _subgradients(model, y, Y[idx[t - 1]])
+        y = y - (scales / np.sqrt(t))[:, None] * g
+        dy = y - centers
+        nrm = _row_norms(dy)
+        far = nrm > radius
+        if far.any():
+            y[far] = centers[far] + dy[far] * (radius / nrm[far])[:, None]
         avg += (y - avg) / t
+    # A non-finite subgradient leaves the iterate non-finite from then on
+    # (the projection turns an infinite iterate into NaN), and so the average.
+    if not np.all(np.isfinite(avg)):
+        raise NumericalFailureError("non-finite subgradient")
     return avg
 
 

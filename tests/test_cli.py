@@ -39,6 +39,25 @@ class TestSolve:
         assert doc["converged"] is True
         assert (workdir / "plan.json.manifest.json").exists()
 
+    def test_repeated_rows_converge(self, workdir):
+        # Rows drawn with replacement from m // 2 base points: identical
+        # points make the support QP singular unless the solver merges them.
+        rng = np.random.default_rng(0)
+        m = int(rng.integers(3, 12))
+        base = rng.normal(size=(m // 2, 2))
+        src = write_points(workdir / "x.csv", base[rng.integers(0, m // 2, size=m)])
+        tgt = write_points(
+            workdir / "y.csv", base[rng.integers(0, m // 2, size=m)] + 0.3
+        )
+        sigma = float(rng.choice([0.3, 1.0, 3.0]))
+        out = workdir / "plan.json"
+        code = run(
+            ["solve", "--source", src, "--target", tgt, "--kernel", "gaussian",
+             "--sigma", sigma, "--out", out]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["converged"] is True
+
     def test_delta_reduction_matches_emd(self, workdir):
         # A 3x3 integer cost where the heavily penalized program sits within
         # 1e-3 of the exact discrete optimum (the residual regularization
@@ -176,6 +195,15 @@ class TestMapRoundTrip:
         pts.write_text("x0,x1\n")
         out = workdir / "mapped.csv"
         assert run(["map", "--model", model, "--points", pts, "--out", out]) == 0
+        assert out.read_text() == "y0,y1,fallback\n"
+
+    def test_empty_points_file_sgd(self, workdir):
+        model = self.make_model(workdir)
+        pts = workdir / "pts.csv"
+        pts.write_text("x0,x1\n")
+        out = workdir / "mapped.csv"
+        assert run(["map", "--model", model, "--points", pts, "--method", "sgd",
+                    "--out", out]) == 0
         assert out.read_text() == "y0,y1,fallback\n"
 
     def test_sgd_agrees_with_closed(self, workdir):

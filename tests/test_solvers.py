@@ -20,7 +20,9 @@ from mmdot.experiments import make_gaussian_pair, sample_gaussian
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
+    _point_classes,
     _project_simplex,
+    _support_qp,
     derive_beta,
     solve_admm,
     solve_emd_exact,
@@ -37,6 +39,17 @@ def gaussian_instance(seed, m=5, n=5, d=3):
     G1 = gram(GAUSS1, X, X)
     G2 = gram(GAUSS1, Y, Y)
     return squared_euclidean_cost(X, Y), G1, G2
+
+
+def repeated_point_instance(seed):
+    """2-d samples drawn with replacement from m // 2 base points, 3 <= m < 12."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 12))
+    base = rng.normal(size=(m // 2, 2))
+    X = base[rng.integers(0, m // 2, size=m)]
+    Y = base[rng.integers(0, m // 2, size=m)] + 0.3
+    kernel = KernelSpec(GAUSSIAN, sigma=float(rng.choice([0.3, 1.0, 3.0])))
+    return X, Y, kernel
 
 
 def blob_instance(seed, per_class=12, sigma=0.5):
@@ -170,6 +183,32 @@ class TestSolveSimplified:
         assert trace.gap_or_residual_per_iter[-1] <= 1e-10
         assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
 
+    @pytest.mark.parametrize("seed", [0, 2, 7, 29, 45, 104, 169, 240])
+    def test_repeated_points_converge(self, seed):
+        # Identical points have identical gram rows, so the support QP is
+        # singular along moves between their cells even on a row/column
+        # forest; the forest must be kept over classes of identical points.
+        X, Y, kernel = repeated_point_instance(seed)
+        _, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y),
+            SolverConfig(),
+        )
+        assert trace.converged
+        assert trace.gap_or_residual_per_iter[-1] <= 1e-12
+        assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
+
+    def test_indefinite_support_qp_raises_with_trace(self):
+        # An indefinite "gram" makes the support QP non-convex; its failed
+        # Cholesky factorization surfaces as a NumericalFailureError.
+        G1 = np.array([[1.0, -3.0], [-3.0, 1.0]])
+        cfg = SolverConfig(lambda1=1.0, nu1=0.0, lambda2=0.0, nu2=0.0)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_simplified(
+                CostMatrix(entries=np.zeros((2, 1))), G1, np.ones((1, 1)), cfg
+            )
+        assert "support solve" in str(info.value)
+        assert info.value.trace.iters_used == 1
+
     def test_fixed_point_stops_before_budget(self):
         # Slope-study-shaped instance with an unreachable gap target: the
         # loop stops at its fixed point instead of running the budget out.
@@ -209,6 +248,45 @@ class TestSolveSimplified:
             solve_simplified(
                 CostMatrix(entries=np.ones((2, 3))), np.eye(3), np.eye(3), SolverConfig()
             )
+
+
+class TestSupportQp:
+    @staticmethod
+    def brute_force(Q, c):
+        """Best KKT point over every face of the simplex."""
+        k = c.size
+        best, best_a = np.inf, None
+        for mask in range(1, 2**k):
+            S = [i for i in range(k) if mask >> i & 1]
+            K = np.zeros((len(S) + 1, len(S) + 1))
+            K[:-1, :-1] = 2.0 * Q[np.ix_(S, S)]
+            K[:-1, -1] = K[-1, :-1] = 1.0
+            sol = np.linalg.solve(K, np.concatenate([-c[S], [1.0]]))
+            if np.all(sol[:-1] >= 0.0):
+                a = np.zeros(k)
+                a[S] = sol[:-1]
+                val = a @ Q @ a + c @ a
+                if val < best:
+                    best, best_a = val, a
+        return best, best_a
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        B = rng.normal(size=(k, k))
+        Q = B.T @ B + 0.1 * np.eye(k)
+        c = rng.normal(scale=3.0, size=k)
+        a = _support_qp(Q, c)
+        best, best_a = self.brute_force(Q, c)
+        assert np.all(a >= 0.0) and abs(a.sum() - 1.0) <= 1e-15
+        assert abs((a @ Q @ a + c @ a) - best) <= 1e-12
+        np.testing.assert_allclose(a, best_a, atol=1e-10)
+
+    def test_point_classes(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [1.0, 0.0]])
+        assert _point_classes(gram(GAUSS1, X, X).entries) == [0, 1, 0, 3, 1]
+        assert _point_classes(gram(GAUSS1, X[:2], X[:2]).entries) == [0, 1]
 
 
 class TestSolveAdmm:

@@ -204,6 +204,28 @@ class TestClosedForm:
         out, flags = map_points_closed_form(model, np.zeros((0, 1)))
         assert out.shape == (0, 1) and flags.shape == (0,)
 
+    def test_blocked_batch_matches_pointwise_bitwise(self):
+        # More rows than one weight block.  Delta-kernel weights with
+        # dyadic beta columns summing to powers of two, and integer targets,
+        # make every product and sum exact, so any evaluation order gives
+        # the same bits; the point at 5.0 matches no source and falls back.
+        model = TransportMapModel(
+            beta_star=np.array([[0.5, 1.0, 0.25], [0.25, 0.5, 0.25],
+                                [0.25, 0.5, 1.0], [0.0, 2.0, 0.5]]),
+            source_points=np.array([[0.0], [1.0], [2.0]]),
+            target_points=np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 5.0], [2.0, 2.0]]),
+            kernel1=DELTA,
+        )
+        rng = np.random.default_rng(11)
+        P = rng.choice([0.0, 1.0, 2.0, 5.0], size=(4100, 1))
+        mapped, fallback = map_points_closed_form(model, P)
+        assert mapped.shape == (4100, 2)
+        assert fallback.tolist() == (P[:, 0] == 5.0).tolist()
+        for i in range(P.shape[0]):
+            w = conditional_weights(model, P[i])
+            assert w.fallback_used == fallback[i]
+            assert np.array_equal(mapped[i], w.weights @ model.target_points)
+
 
 def euclidean_cost(y, yj):
     return float(np.linalg.norm(y - yj))
@@ -213,6 +235,33 @@ def euclidean_grad(y, yj):
     d = y - yj
     n = np.linalg.norm(d)
     return d / n if n > 0 else np.zeros_like(d)
+
+
+def sgd_by_loop(model, x, steps, seed, domain_radius=None):
+    """Reference projected averaged SGD: one point, one step at a time."""
+    w = conditional_weights(model, x).weights
+    Y = model.target_points
+    center = w @ Y
+    radius = default_domain_radius(model) if domain_radius is None else domain_radius
+
+    def grad(y, yj):
+        if model.cost_kind == "sqeuclidean":
+            return 2.0 * (y - yj)
+        return np.asarray(model.cost_grad(y, yj), dtype=float)
+
+    bound = max(float(np.linalg.norm(grad(center, yj))) for yj in Y)
+    step_scale = radius / max(bound, 2.0 * radius, 1e-12)
+    idx = np.random.default_rng(seed).choice(Y.shape[0], size=steps, p=w)
+    y = center.copy()
+    avg = np.zeros_like(y)
+    for t in range(1, steps + 1):
+        y = y - (step_scale / np.sqrt(t)) * grad(y, Y[idx[t - 1]])
+        dy = y - center
+        nrm = float(np.linalg.norm(dy))
+        if nrm > radius:
+            y = center + dy * (radius / nrm)
+        avg += (y - avg) / t
+    return avg
 
 
 class TestSgd:
@@ -263,6 +312,42 @@ class TestSgd:
         model = weights_model([1.0], [[0.0]], [0.0])
         with pytest.raises(ValueError):
             map_point_sgd(model, [0.0], steps=0)
+
+    @pytest.mark.parametrize("kind", ["default", "small_radius", "user_cost"])
+    def test_batch_matches_per_point_bitwise(self, kind):
+        rng = np.random.default_rng(12)
+        extra = {}
+        if kind == "user_cost":
+            extra = dict(cost_kind="user", cost_fn=euclidean_cost,
+                         cost_grad=euclidean_grad)
+        model = TransportMapModel(
+            beta_star=rng.random((6, 4)),
+            source_points=rng.normal(size=(4, 2)),
+            target_points=rng.normal(size=(6, 3)),
+            kernel1=GAUSS1,
+            **extra,
+        )
+        # The last point is far from every source and takes the uniform
+        # fallback weights.
+        P = np.vstack([rng.normal(size=(4, 2)), [[1e3, -1e3]]])
+        radius = 0.05 if kind == "small_radius" else None
+        batch = map_point_sgd(model, P, steps=300, seed=3, domain_radius=radius)
+        assert batch.shape == (5, 3)
+        assert conditional_weights(model, P[-1]).fallback_used
+        for k in range(P.shape[0]):
+            one = map_point_sgd(model, P[k], steps=300, seed=3, domain_radius=radius)
+            assert np.array_equal(batch[k], one)
+            assert np.array_equal(one, sgd_by_loop(model, P[k], 300, 3, radius))
+            if radius is not None:
+                # The projection keeps every iterate, so the average, in
+                # the ball around the row's weighted target mean.
+                w = conditional_weights(model, P[k]).weights
+                assert np.linalg.norm(one - w @ model.target_points) <= radius * (1 + 1e-12)
+
+    def test_batch_of_no_points(self):
+        model = weights_model([1.0], [[0.0, 1.0]], [0.0])
+        out = map_point_sgd(model, np.zeros((0, 1)), steps=10)
+        assert out.shape == (0, 2)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
