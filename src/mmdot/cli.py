@@ -10,7 +10,8 @@ variables.
 
 Exit codes: 0 success, 1 input/usage error, 2 a solve (any solve of a
 study, including the sample-complexity reference) did not converge, or an
-experiment record failed (results are still written).
+experiment record failed (results are still written), or a solve failed
+numerically (nothing written).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     EmptyInputError,
     IllConditionedGramError,
     InvalidModelError,
+    NumericalFailureError,
     ShapeError,
 )
 from .experiments import (
@@ -369,6 +371,9 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"mmdot {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    except NumericalFailureError as exc:
+        print(f"mmdot {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

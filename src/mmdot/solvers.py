@@ -140,33 +140,33 @@ def _forest_cycle(support, s, n, cls1, cls2):
     points (``cls1``/``cls2`` from ``_point_classes`` of each gram): row
     class ``cls1[i]`` and column class ``cls2[j]`` are joined by an edge for
     each cell ``(i, j)``.  Returns ``None`` when the classes of the row and
-    column of ``s`` are not yet connected, otherwise the path of cells from
-    the column class of ``s`` back to its row class: signs
-    ``-1, +1, -1, ...`` along it, with ``+1`` on ``s``, keep every row and
-    column class sum fixed.
+    column of ``s`` are not yet connected, otherwise the positions in
+    ``support`` of the path of cells from the column class of ``s`` back to
+    its row class: signs ``-1, +1, -1, ...`` along it, with ``+1`` on ``s``,
+    keep every row and column class sum fixed.
     """
     m = len(cls1)
     si, sj = divmod(s, n)
     adj = {}
-    for cell in support:
+    for k, cell in enumerate(support):
         i, j = divmod(cell, n)
         u, v = cls1[i], m + cls2[j]
-        adj.setdefault(u, []).append((v, cell))
-        adj.setdefault(v, []).append((u, cell))
+        adj.setdefault(u, []).append((v, k))
+        adj.setdefault(v, []).append((u, k))
     prev = {cls1[si]: None}
     queue = [cls1[si]]
     for node in queue:
-        for nb, cell in adj.get(node, ()):
+        for nb, k in adj.get(node, ()):
             if nb not in prev:
-                prev[nb] = (node, cell)
+                prev[nb] = (node, k)
                 queue.append(nb)
     node = m + cls2[sj]
     if node not in prev:
         return None
     path = []
     while prev[node] is not None:
-        node, cell = prev[node]
-        path.append(cell)
+        node, k = prev[node]
+        path.append(k)
     return path
 
 
@@ -202,6 +202,15 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     that still fails its Cholesky factorization raises
     ``NumericalFailureError``.
 
+    The iterate is the support itself: cell indices ``idx`` (rows ``I``,
+    columns ``J``) and weights ``a``; the dense plan is built once, at
+    return.  The only O(mn) work of an outer iteration is forming the
+    gradient ``g = L + p[:, None] + q``, with ``p = 2 H1 u1`` and
+    ``q = 2 H2 u2``, and its ``argmin``.  ``H1 u1`` is
+    ``H1[:, I] @ a - H1 1/m``, O(m k) for a support of ``k`` cells; the
+    objective, the gap and the FW step's curvature are read off the support
+    and these vectors.
+
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
     the gap met ``cfg.tol_gap``.  ``cfg.max_outer_iters`` bounds the outer
@@ -211,12 +220,10 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     m, n = L.shape
     H1 = cfg.lambda1 * G1 + cfg.nu1 * (G1 * G1)
     H2 = cfg.lambda2 * G2 + cfg.nu2 * (G2 * G2)
-    h1 = 2.0 * H1.sum(axis=1) / m
-    h2 = 2.0 * H2.sum(axis=1) / n
+    # H 1/m: the penalty's pull toward the uniform marginals.
+    w1 = H1.sum(axis=1) / m
+    w2 = H2.sum(axis=1) / n
     Lf = L.ravel()
-    support = [int(np.argmin(Lf))]
-    alpha = np.zeros((m, n))
-    alpha.flat[support[0]] = 1.0
     cls1, cls2 = _point_classes(G1), _point_classes(G2)
 
     objs = []
@@ -227,13 +234,25 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         trace = SolveTrace(np.array(objs), np.array(gaps), len(objs), False)
         return NumericalFailureError(what, trace=trace)
 
+    # The objective sums every entry of H1u and H2u, so with L finite,
+    # checking it and g[s] in each iteration covers the whole gradient.
+    if not np.all(np.isfinite(Lf)):
+        raise failure("non-finite objective or gradient")
+    idx = np.array([np.argmin(Lf)])
+    a = np.ones(1)
     for it in range(cfg.max_outer_iters):
-        u1 = alpha.sum(axis=1) - 1.0 / m
-        u2 = alpha.sum(axis=0) - 1.0 / n
-        H1u, H2u = H1 @ u1, H2 @ u2
+        I, J = np.divmod(idx, n)
+        H1u = H1[:, I] @ a - w1
+        H2u = H2[:, J] @ a - w2
         g = L + (2.0 * H1u)[:, None] + 2.0 * H2u
-        obj = float(np.sum(alpha * L)) + float(u1 @ H1u) + float(u2 @ H2u)
-        if not np.isfinite(obj) or not np.all(np.isfinite(g)):
+        obj = (
+            float(Lf[idx] @ a)
+            + (float(a @ H1u[I]) - float(H1u.sum()) / m)
+            + (float(a @ H2u[J]) - float(H2u.sum()) / n)
+        )
+        gf = g.ravel()
+        s = int(np.argmin(gf))
+        if not (np.isfinite(obj) and np.isfinite(gf[s])):
             raise failure("non-finite objective or gradient")
         if objs:
             # Every step is an exact minimization, so the true objective is
@@ -243,52 +262,49 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
             if obj > objs[-1] + 1e-8 * (1.0 + abs(objs[-1])):
                 raise failure(f"objective increased from {objs[-1]!r} to {obj!r}")
             obj = min(obj, objs[-1])
-        gf = g.ravel()
-        s = int(np.argmin(gf))
-        fw_gap = float(gf @ alpha.ravel()) - float(gf[s])
+        fw_gap = float(gf[idx] @ a) - float(gf[s])
         objs.append(obj)
         gaps.append(fw_gap)
         converged = fw_gap <= cfg.tol_gap
-        if converged or s in support or it + 1 == cfg.max_outer_iters:
+        if converged or s in idx or it + 1 == cfg.max_outer_iters:
             break
 
-        # Exact FW step toward s: the marginals move by (e_i - r1, e_j - r2).
+        # Exact FW step toward s: the marginals move by d1 = e_si - r1 and
+        # d2 = e_sj - r2, where H1 r1 = H1u + w1.
         si, sj = divmod(s, n)
-        d1 = -u1 - 1.0 / m
-        d1[si] += 1.0
-        d2 = -u2 - 1.0 / n
-        d2[sj] += 1.0
-        curv = float(d1 @ H1 @ d1) + float(d2 @ H2 @ d2)
+        Hd1 = H1[:, si] - H1u - w1
+        Hd2 = H2[:, sj] - H2u - w2
+        curv = float(Hd1[si] - a @ Hd1[I]) + float(Hd2[sj] - a @ Hd2[J])
         step = min(fw_gap / (2.0 * curv), 1.0) if curv > 0.0 else 1.0
-        alpha *= 1.0 - step
-        alpha.flat[s] += step
         if step == 1.0:
-            support = []
-        path = _forest_cycle(support, s, n, cls1, cls2)
-        support.append(s)
+            idx, a = idx[:0], a[:0]
+        path = _forest_cycle(idx.tolist(), s, n, cls1, cls2)
+        idx, a = np.append(idx, s), np.append((1.0 - step) * a, step)
         if path is not None:
             # Along the cycle the class marginals, and so the penalty, are
-            # fixed: f is linear in the push with slope <L, d>.  Pushing downhill empties the smallest
-            # shrinking cell first; the support solve below starts afresh,
-            # so only that cell's exit is needed.
-            cells = np.array([s] + path)
-            signs = np.resize([1.0, -1.0], cells.size)
-            if float(signs @ Lf[cells]) > 0.0:
+            # fixed: f is linear in the push with slope <L, d>.  Pushing
+            # downhill empties the smallest shrinking cell first; the
+            # support solve below starts afresh, so only that cell's exit
+            # is needed.
+            ring = np.array([idx.size - 1] + path)
+            signs = np.resize([1.0, -1.0], ring.size)
+            if float(signs @ Lf[idx[ring]]) > 0.0:
                 signs = -signs
-            shrink = cells[signs < 0.0]
-            support.remove(int(shrink[np.argmin(alpha.flat[shrink])]))
+            shrink = ring[signs < 0.0]
+            drop = shrink[np.argmin(a[shrink])]
+            idx, a = np.delete(idx, drop), np.delete(a, drop)
 
-        idx = np.array(support)
-        I, J = idx // n, idx % n
+        I, J = np.divmod(idx, n)
         Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
         try:
-            a = _support_qp(Q, Lf[idx] - h1[I] - h2[J])
+            a = _support_qp(Q, Lf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
         except np.linalg.LinAlgError as exc:
             raise failure(f"support solve failed: {exc}") from exc
-        alpha.fill(0.0)
-        alpha.flat[idx] = a
-        support = [cell for cell, w in zip(support, a) if w > 0.0]
+        keep = a > 0.0
+        idx, a = idx[keep], a[keep]
 
+    alpha = np.zeros((m, n))
+    alpha.flat[idx] = a
     trace = SolveTrace(
         objective_per_iter=np.array(objs),
         gap_or_residual_per_iter=np.array(gaps),

@@ -7,6 +7,7 @@ from oracles import emd_by_vertex_enumeration
 
 from mmdot.cli import main
 from mmdot.dataio import write_matrix_csv
+from mmdot.errors import NumericalFailureError
 from mmdot.transport_map import load_model, save_model
 
 
@@ -108,6 +109,22 @@ class TestSolve:
         )
         assert code == 2
         assert out.exists()  # results written despite non-convergence
+
+    def test_numerical_failure_exit_two(self, workdir, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise NumericalFailureError("support solve failed: test")
+
+        monkeypatch.setattr("mmdot.cli.solve_simplified", broken)
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        out = workdir / "plan.json"
+        code = run(
+            ["solve", "--source", src, "--target", src, "--kernel", "gaussian",
+             "--sigma", 1.0, "--out", out]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "mmdot solve: error: support solve failed: test" in err
+        assert not out.exists()
 
     def test_missing_sigma_for_gaussian(self, workdir, capsys):
         src = write_points(workdir / "x.csv", [[0.0]])

@@ -52,6 +52,14 @@ def repeated_point_instance(seed):
     return X, Y, kernel
 
 
+def named_instance(case):
+    """``gauss<seed>`` or ``repeated<seed>``: cost and grams of that instance."""
+    if case.startswith("gauss"):
+        return gaussian_instance(int(case[5:]))
+    X, Y, kernel = repeated_point_instance(int(case[8:]))
+    return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+
+
 def blob_instance(seed, per_class=12, sigma=0.5):
     """Two-cluster source and shifted target, sized like the domain-adaptation runs."""
     rng = np.random.default_rng(seed)
@@ -151,6 +159,62 @@ class TestSolveSimplified:
         )
         # Final reported objective is for the pre-cleanup iterate; re-evaluate.
         assert trace.objective_per_iter[-1] == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "case,budget",
+        [("gauss0", 5000), ("gauss11", 5000), ("gauss0", 1), ("gauss0", 2),
+         ("gauss0", 3), ("gauss3", 5000), ("repeated7", 5000)],
+    )
+    def test_plan_matches_last_trace_entry(self, case, budget):
+        # The loop keeps the plan as support cells and weights; the dense
+        # plan it returns must be the one its last objective and gap were
+        # read from, converged or stopped by the budget.
+        C, G1, G2 = named_instance(case)
+        cfg = SolverConfig(max_outer_iters=budget)
+        plan, trace = solve_simplified(C, G1, G2, cfg)
+        if budget < 4:
+            assert trace.iters_used == budget and not trace.converged
+        else:
+            assert trace.converged
+        a, L, K1, K2 = plan.alpha, C.entries, G1.entries, G2.entries
+        m, n = a.shape
+        H1 = cfg.lambda1 * K1 + cfg.nu1 * K1 * K1
+        H2 = cfg.lambda2 * K2 + cfg.nu2 * K2 * K2
+        u1 = a.sum(axis=1) - 1.0 / m
+        u2 = a.sum(axis=0) - 1.0 / n
+        g = L + 2.0 * (H1 @ u1)[:, None] + 2.0 * (H2 @ u2)[None, :]
+        objective = penalized_objective(
+            a, L, K1, K2, cfg.lambda1, cfg.lambda2, cfg.nu1, cfg.nu2
+        )
+        assert trace.objective_per_iter[-1] == pytest.approx(
+            objective, rel=1e-9, abs=1e-12
+        )
+        assert trace.gap_or_residual_per_iter[-1] == pytest.approx(
+            float(np.sum(g * a) - g.min()), rel=1e-9, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "case", [f"gauss{s}" for s in range(20)]
+        + [f"repeated{s}" for s in (0, 2, 7, 29, 45, 104, 169, 240)],
+    )
+    def test_support_is_forest_over_point_classes(self, case):
+        # A forest over r row classes and c column classes has at most
+        # r + c - 1 edges, and every nonzero cell is one edge.
+        C, G1, G2 = named_instance(case)
+        plan, _ = solve_simplified(C, G1, G2, SolverConfig())
+        classes = len(set(_point_classes(G1.entries))) + len(
+            set(_point_classes(G2.entries))
+        )
+        assert np.count_nonzero(plan.alpha) <= classes - 1
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_raises(self, bad):
+        C, G1, G2 = gaussian_instance(3)
+        cost = C.entries.copy()
+        cost[1, 2] = bad
+        with pytest.raises(NumericalFailureError) as info:
+            solve_simplified(cost, G1, G2, SolverConfig())
+        assert info.value.trace.iters_used == 0
 
     def test_gap_upper_bounds_suboptimality(self):
         # At any iterate, objective - gap <= true optimum <= grid minimum.
