@@ -6,14 +6,7 @@ experiment harnesses plus an exact discrete-OT baseline.
 """
 
 from .dataio import LabeledDataset
-from .embeddings import (
-    CostEmbeddingCoefficients,
-    CostMatrix,
-    cost_embedding,
-    marginal_residuals,
-    mmd_squared,
-    squared_euclidean_cost,
-)
+from .embeddings import CostMatrix, mmd_squared, squared_euclidean_cost
 from .experiments import (
     ExperimentReport,
     GaussianPair,

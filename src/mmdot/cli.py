@@ -33,7 +33,6 @@ from .embeddings import CostMatrix, squared_euclidean_cost
 from .errors import (
     DatasetError,
     EmptyInputError,
-    IllConditionedGramError,
     InvalidModelError,
     NumericalFailureError,
     ShapeError,
@@ -60,7 +59,6 @@ _INPUT_ERRORS = (
     DatasetError,
     EmptyInputError,
     InvalidModelError,
-    IllConditionedGramError,
     ValueError,
     OSError,
 )

@@ -9,10 +9,6 @@ class EmptyInputError(ValueError):
     """An operation received an empty sample set or matrix."""
 
 
-class IllConditionedGramError(RuntimeError):
-    """A gram-matrix solve failed even after the jitter escalation cap."""
-
-
 class NumericalFailureError(RuntimeError):
     """A non-finite value was encountered during iteration.
 

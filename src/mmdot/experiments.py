@@ -193,6 +193,8 @@ def run_gaussian_experiment(
     discrete barycentric projection of the exact plan); it has no
     out-of-sample value.
     """
+    if repeats < 1 or oos_count < 1:
+        raise ValueError("repeats and oos_count must be >= 1")
     pair = make_gaussian_pair(d, seed=cfg.seed)
     A_true = gaussian_map_matrix(pair)
     report = ExperimentReport(kind="gaussian_map")
@@ -263,9 +265,12 @@ def run_sample_complexity_study(
 
     The population objective is proxied by a solve at
     ``m_ref = ref_multiplier * max(m_values)``; errors are the absolute
-    deviations of each per-m objective from that reference.
+    deviations of each per-m objective from that reference.  ``m_values``
+    must hold at least two strictly increasing sample counts.
     """
     m_values = [int(m) for m in m_values]
+    if len(m_values) < 2:
+        raise ValueError("a slope needs at least two sample counts")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError("m_values must be strictly increasing")
     if ref_multiplier < 8:

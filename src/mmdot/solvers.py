@@ -24,7 +24,7 @@ from scipy import sparse
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
-from .embeddings import cost_entries, marginal_residuals
+from .embeddings import cost_entries
 from .errors import NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
@@ -99,6 +99,20 @@ class PlanCoefficients:
     alpha: np.ndarray
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
+
+
+def _penalty_matrices(G1, G2, cfg):
+    """The penalty's row and column forms ``H = lam G + nu G*G``.
+
+    With the marginal residuals ``u1 = alpha 1 - 1/m`` and
+    ``u2 = alpha^T 1 - 1/n``, the penalized plan objective is
+    ``<C, alpha> + u1^T H1 u1 + u2^T H2 u2``; the loss term needs no
+    embedding of the cost, since ``<c, phi(x_i) (x) phi(y_j)> = c(x_i, y_j)``.
+    """
+    return tuple(
+        lam * G + nu * (G * G)
+        for G, lam, nu in ((G1, cfg.lambda1, cfg.nu1), (G2, cfg.lambda2, cfg.nu2))
+    )
 
 
 def _support_qp(Q, c):
@@ -214,12 +228,14 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
     the gap met ``cfg.tol_gap``.  ``cfg.max_outer_iters`` bounds the outer
-    iterations; the returned plan is the last one evaluated.  Tie-breaking
-    is first-occurrence in row-major order, so runs are bit-reproducible.
+    iterations; the returned plan is the last one evaluated.  A tie between
+    bit-equal gradient entries goes to the first cell in row-major order,
+    and reruns are bit-identical.  The gradient rows of identical points are
+    equal only up to rounding, so which copy of an identical point receives
+    mass is not specified.
     """
     m, n = L.shape
-    H1 = cfg.lambda1 * G1 + cfg.nu1 * (G1 * G1)
-    H2 = cfg.lambda2 * G2 + cfg.nu2 * (G2 * G2)
+    H1, H2 = _penalty_matrices(G1, G2, cfg)
     # H 1/m: the penalty's pull toward the uniform marginals.
     w1 = H1.sum(axis=1) / m
     w2 = H2.sum(axis=1) / n
@@ -387,11 +403,11 @@ def _prox_simplex(H1, H2, rho, center, alpha0, max_iters, lip, mom):
         f(alpha) = ||alpha 1 - 1/m||^2_{H1} + ||alpha^T 1 - 1/n||^2_{H2}
                  + rho ||alpha + center||^2_F
 
-    with ``H1 = lam1 G1 + nu1 G1*G1`` and ``H2 = lam2 G2 + nu2 G2*G2``: the
-    penalized plan objective with a zero linear term, plus the proximal
-    term.  ``f`` is ``2 rho``-strongly convex with a ``lip``-Lipschitz
-    gradient, so Nesterov's accelerated projected gradient with the
-    constant momentum ``mom`` converges linearly to the unique minimizer.
+    with ``H1, H2`` from ``_penalty_matrices``: the penalized plan
+    objective with a zero linear term, plus the proximal term.  ``f`` is
+    ``2 rho``-strongly convex with a ``lip``-Lipschitz gradient, so
+    Nesterov's accelerated projected gradient with the constant momentum
+    ``mom`` converges linearly to the unique minimizer.
     Starts at ``alpha0`` and stops once a step moves alpha by at most
     ``_PROX_STEP_TOL`` in Frobenius norm, or after ``max_iters`` steps.
     Returns ``(alpha, capped)``, where ``capped`` says the budget ran out.
@@ -432,8 +448,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     rho = cfg.rho_admm
 
     # The prox objective's curvature depends only on the fixed grams.
-    H1 = cfg.lambda1 * G1 + cfg.nu1 * (G1 * G1)
-    H2 = cfg.lambda2 * G2 + cfg.nu2 * (G2 * G2)
+    H1, H2 = _penalty_matrices(G1, G2, cfg)
     lip = 2.0 * (
         rho + n * np.linalg.eigvalsh(H1)[-1] + m * np.linalg.eigvalsh(H2)[-1]
     )
@@ -480,10 +495,9 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
 
         r1 = float(np.linalg.norm(P1))
         r2 = float(np.linalg.norm(P2))
-        rG1, rG2, rGG1, rGG2 = marginal_residuals(alpha, G1, G2)
-        obj = float(np.sum(alpha * Cm))
-        obj += cfg.lambda1 * rG1 + cfg.nu1 * rGG1
-        obj += cfg.lambda2 * rG2 + cfg.nu2 * rGG2
+        u1 = alpha.sum(axis=1) - 1.0 / m
+        u2 = alpha.sum(axis=0) - 1.0 / n
+        obj = float(np.sum(alpha * Cm)) + float(u1 @ H1 @ u1) + float(u2 @ H2 @ u2)
         if not np.isfinite(obj):
             raise failure("non-finite objective")
         objs.append(obj)

@@ -82,10 +82,9 @@ class TransportMapModel:
 
 @dataclass(frozen=True)
 class MapWeights:
-    """Conditional weights over the target samples for one source point."""
+    """Conditional weights on the simplex over the target samples, for one point."""
 
     weights: np.ndarray
-    normalized: bool
     fallback_used: bool
 
 
@@ -129,9 +128,7 @@ def conditional_weights(model: TransportMapModel, x) -> MapWeights:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     W, fallback = batch_weights(model, x[None, :])
-    return MapWeights(
-        weights=W[:, 0], normalized=True, fallback_used=bool(fallback[0])
-    )
+    return MapWeights(weights=W[:, 0], fallback_used=bool(fallback[0]))
 
 
 def map_point_closed_form(model: TransportMapModel, x) -> np.ndarray:

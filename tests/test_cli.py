@@ -328,6 +328,26 @@ class TestExperimentCommands:
         doc = json.loads(out.read_text())
         assert "fitted_slope" in doc["details"]
 
+    @pytest.mark.parametrize("flag", ["--repeats", "--oos-count"])
+    def test_eval_gaussian_empty_protocol_exit_one(self, workdir, flag, capsys):
+        out = workdir / "report.json"
+        argv = ["eval-gaussian", "--dim", 2, "--samples", "8", "--sigma", 1.0,
+                "--repeats", 1, "--oos-count", 8, flag, 0, "--out", out]
+        assert run(argv) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_complexity_single_count_exit_one(self, workdir, capsys):
+        out = workdir / "slope.json"
+        code = run(
+            ["sample-complexity", "--dim", 2, "--samples", "5",
+             "--sigma", 1.0, "--out", out]
+        )
+        assert code == 1
+        assert "two sample counts" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (workdir / "slope.json.manifest.json").exists()
+
     def test_eval_gaussian_unconverged_exit_two(self, workdir):
         out = workdir / "report.json"
         code = run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from mmdot.dataio import LabeledDataset
 from mmdot.embeddings import squared_euclidean_cost
@@ -139,9 +140,7 @@ class TestDeriveBeta:
         assert np.all(beta >= 0.0)
         # The exact NNLS fit should do no worse than plain clamping.
         fit = np.linalg.norm(alpha - (G1.entries @ beta.T) / 5.0)
-        from mmdot.embeddings import solve_against_gram
-
-        Bt, _ = solve_against_gram(G1, 5.0 * alpha, 1e-8)
+        Bt = cho_solve(cho_factor(G1.entries + 1e-8 * np.eye(5)), 5.0 * alpha)
         clamp = np.maximum(Bt, 0.0)
         fit_clamp = np.linalg.norm(alpha - (G1.entries @ clamp) / 5.0)
         assert fit <= fit_clamp + 1e-12
@@ -222,8 +221,23 @@ class TestRunGaussianExperiment:
             assert entry["mse_in_sample_mean"] == pytest.approx(np.mean(vals))
             assert entry["runs"] == len(vals)
 
+    @pytest.mark.parametrize("repeats, oos_count", [(0, 8), (1, 0)])
+    def test_rejects_empty_protocol(self, repeats, oos_count):
+        with pytest.raises(ValueError):
+            run_gaussian_experiment(
+                d=2, m_values=[8], sigma=1.0, repeats=repeats,
+                cfg=SolverConfig(), oos_count=oos_count,
+            )
+
 
 class TestSampleComplexity:
+    @pytest.mark.parametrize("m_values", [[], [5]])
+    def test_rejects_fewer_than_two_counts(self, m_values):
+        with pytest.raises(ValueError, match="two sample counts"):
+            run_sample_complexity_study(
+                d=2, m_values=m_values, sigma=1.0, cfg=SolverConfig(), seed=0
+            )
+
     def test_rejects_non_increasing_m(self):
         with pytest.raises(ValueError):
             run_sample_complexity_study(

@@ -81,7 +81,7 @@ class TestConditionalWeights:
         )
         w = conditional_weights(model, [0.7])
         np.testing.assert_allclose(w.weights, [1.0])
-        assert w.normalized and not w.fallback_used
+        assert not w.fallback_used
 
     def test_delta_kernel_identity_beta_picks_basis_vector(self):
         X = np.array([[0.0], [1.0], [2.0]])
