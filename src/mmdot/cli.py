@@ -128,6 +128,10 @@ def _load_cost(args, X, Y):
 
 def cmd_solve(args):
     t0 = time.perf_counter()
+    if args.emit_model and args.cost != "sqeuclidean":
+        # A model maps each point to its weighted target mean, the
+        # barycenter of the squared-Euclidean cost only.
+        raise ValueError("--emit-model requires --cost sqeuclidean")
     X = read_matrix_csv(args.source)
     Y = read_matrix_csv(args.target)
     kernel = _kernel_spec(args)
@@ -303,7 +307,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-model", dest="emit_model",
-                   help="also write a transport-map model JSON here")
+                   help="also write a transport-map model JSON here "
+                   "(with --cost sqeuclidean only)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("map", help="apply a transport-map model to points")

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,13 @@ def read_labeled_csv(path) -> LabeledDataset:
 
     Raises CsvFormatError naming file, line, and column on any parse
     failure.  An empty data section yields a 0-row dataset whose feature
-    dimension comes from the header.
+    dimension comes from the header.  Without a ``label`` column the rows
+    after the header go to ``np.loadtxt`` first (about twice as fast as
+    converting each cell in Python, with bit-identical values); the
+    ``csv``-module scan below stays the only route for a ``label`` column,
+    and reads the file again whenever ``loadtxt`` rejects the rows, finds
+    none, or finds a column count other than the header's, so blank lines,
+    0-row files and every error message behave as before.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -59,6 +66,13 @@ def read_labeled_csv(path) -> LabeledDataset:
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
+        if "label" not in header:
+            features = _loadtxt_rows(fh, len(header))
+            if features is not None:
+                return LabeledDataset(features=features)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
         label_idx = header.index("label") if "label" in header else None
         feat_idx = [k for k in range(len(header)) if k != label_idx]
         rows, labels = [], []
@@ -90,6 +104,26 @@ def read_labeled_csv(path) -> LabeledDataset:
         features=features,
         labels=np.array(labels, dtype=int) if label_idx is not None else None,
     )
+
+
+def _loadtxt_rows(fh, width):
+    """The rest of ``fh`` as a float matrix, or ``None`` to scan it cell by cell.
+
+    ``loadtxt`` accepts a ``#`` cell as a comment unless ``comments=None``,
+    takes any consistent column count, and warns and returns shape (0, 1) on
+    an empty body; each of these goes back to the scan.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(
+                fh, delimiter=",", ndmin=2, comments=None, encoding="utf-8"
+            )
+    except ValueError:
+        return None
+    if rows.shape[0] == 0 or rows.shape[1] != width:
+        return None
+    return rows
 
 
 def _is_float(s):

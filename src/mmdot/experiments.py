@@ -195,6 +195,9 @@ def run_gaussian_experiment(
     """
     if repeats < 1 or oos_count < 1:
         raise ValueError("repeats and oos_count must be >= 1")
+    m_values = [int(m) for m in m_values]
+    if not m_values:
+        raise ValueError("m_values must hold at least one sample count")
     pair = make_gaussian_pair(d, seed=cfg.seed)
     A_true = gaussian_map_matrix(pair)
     report = ExperimentReport(kind="gaussian_map")

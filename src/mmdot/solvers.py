@@ -5,7 +5,8 @@ Three routes are provided:
 * ``solve_simplified`` -- fully-corrective conditional-gradient (Frank-Wolfe)
   minimization of the penalized plan objective over the joint probability
   simplex: it starts at a vertex, adds one vertex per outer iteration and
-  solves the objective exactly on the support with one NNLS.
+  solves the objective exactly on the support, through the KKT system when
+  the optimum is interior and one NNLS otherwise.
 * ``solve_admm`` -- consensus ADMM for the variant that carries explicit
   nonnegative conditional-embedding coefficients ``beta`` and ``gamma``
   tied to ``alpha`` through the gram matrices; the proximal ``alpha`` step
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
 from .embeddings import cost_entries
@@ -77,7 +78,15 @@ class SolveTrace:
 
     ``inner_cap_hits`` counts the ADMM cycles whose prox solve stopped at
     ``max_inner_iters`` steps instead of its step tolerance; it is always 0
-    on the Frank-Wolfe route.
+    on the Frank-Wolfe route.  ``support_solves`` counts the Frank-Wolfe
+    support solves and ``nnls_solves`` those of them that left the exact
+    KKT fast path for the NNLS (see ``_support_qp``); both are 0 on the
+    ADMM route.  ``stop_reason`` says why the loop ended: ``"gap"``
+    (Frank-Wolfe duality gap met), ``"fixed_point"`` or ``"stall"`` (see
+    ``_frank_wolfe_simplex``), ``"residual"`` (ADMM residuals met) or
+    ``"budget"`` (``max_outer_iters`` used up); it is ``None`` on the
+    trace of a ``NumericalFailureError``.  None of these fields enters a
+    result payload.
     """
 
     objective_per_iter: np.ndarray
@@ -85,6 +94,9 @@ class SolveTrace:
     iters_used: int
     converged: bool
     inner_cap_hits: int = 0
+    support_solves: int = 0
+    nnls_solves: int = 0
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -118,21 +130,37 @@ def _penalty_matrices(G1, G2, cfg):
 def _support_qp(Q, c):
     """Minimize ``a^T Q a + c^T a`` over the probability simplex exactly.
 
-    ``Q`` must be positive definite.  Factor ``Q = R^T R`` (Cholesky), solve
-    ``R^T y = -c / 2`` and set ``B = R - y 1^T``.  Then
-    ``B^T B = Q + sym(c 1^T) + ||y||^2 1 1^T``, and on the simplex, where
-    ``1^T a = 1``, ``a^T B^T B a = a^T Q a + c^T a + ||y||^2``: the problem
-    is the minimum-norm point of the convex hull of the columns of ``B``.
-    That point is ``b / sum(b)`` for ``b = nnls([B; 1^T], [0; 1])``
-    (Lawson & Hanson 1974, ch. 23; Wolfe 1976).  A ``Q`` that is not
-    numerically definite raises ``numpy.linalg.LinAlgError``.
+    Returns ``(a, fell_back)``.  ``Q`` must be positive definite; one that
+    is not numerically definite raises ``numpy.linalg.LinAlgError``.
+
+    Factor ``Q = R^T R`` (Cholesky).  The fast path solves ``Q z1 = c`` and
+    ``Q z2 = 1`` (one ``cho_solve`` on a two-column right-hand side) and
+    takes the stationary point on the hyperplane ``1^T a = 1``:
+    ``a = -(z1 + mu z2) / 2`` with ``mu = -(2 + 1^T z1) / (1^T z2)``.  If
+    every ``a > 0`` it is the simplex optimum, since the bound multipliers
+    are zero.  Otherwise (``fell_back``) solve ``R^T y = -c / 2`` and set
+    ``B = R - y 1^T``.  Then ``B^T B = Q + sym(c 1^T) + ||y||^2 1 1^T``,
+    and on the simplex ``a^T B^T B a = a^T Q a + c^T a + ||y||^2``: the
+    problem is the minimum-norm point of the convex hull of the columns of
+    ``B``.  That point is ``b / sum(b)`` for
+    ``b = nnls([B; 1^T], [0; 1])`` (Lawson & Hanson 1974, ch. 23;
+    Wolfe 1976).
     """
     k = c.size
     R = cholesky(Q)
+    # R comes from a checked factorization; a non-finite c gives a NaN in
+    # a, which fails the test below and raises in the checked solve after it.
+    z1, z2 = cho_solve(
+        (R, False), np.column_stack([c, np.ones(k)]), check_finite=False
+    ).T
+    mu = -(2.0 + z1.sum()) / z2.sum()
+    a = -0.5 * (z1 + mu * z2)
+    if a.min() > 0.0:
+        return a / a.sum(), False
     y = solve_triangular(R, -0.5 * c, trans="T")
     b = nnls(np.vstack([R - y[:, None], np.ones(k)]),
              np.concatenate([np.zeros(k), [1.0]]))[0]
-    return b / b.sum()
+    return b / b.sum(), True
 
 
 def _point_classes(G):
@@ -157,7 +185,8 @@ def _forest_cycle(support, s, n, cls1, cls2):
     column of ``s`` are not yet connected, otherwise the positions in
     ``support`` of the path of cells from the column class of ``s`` back to
     its row class: signs ``-1, +1, -1, ...`` along it, with ``+1`` on ``s``,
-    keep every row and column class sum fixed.
+    keep every row and column class sum fixed.  The breadth-first search
+    stops at the column class of ``s``.
     """
     m = len(cls1)
     si, sj = divmod(s, n)
@@ -167,15 +196,17 @@ def _forest_cycle(support, s, n, cls1, cls2):
         u, v = cls1[i], m + cls2[j]
         adj.setdefault(u, []).append((v, k))
         adj.setdefault(v, []).append((u, k))
+    goal = m + cls2[sj]
     prev = {cls1[si]: None}
     queue = [cls1[si]]
     for node in queue:
+        if node == goal:
+            break
         for nb, k in adj.get(node, ()):
             if nb not in prev:
                 prev[nb] = (node, k)
                 queue.append(nb)
-    node = m + cls2[sj]
-    if node not in prev:
+    else:
         return None
     path = []
     while prev[node] is not None:
@@ -199,9 +230,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     Jaggi, NeurIPS 2015).  It starts at the vertex ``argmin L``.  Each outer
     iteration forms the full gradient and stops once the duality gap is at
     most ``cfg.tol_gap``; otherwise it adds the best vertex ``s`` to the
-    support and solves the objective exactly on the support with one NNLS
-    (``_support_qp``).  With ``H = lam G + nu G*G`` that support problem is
-    ``min a^T Q a + c^T a`` with ``Q = H1[I, I] + H2[J, J]``.
+    support and solves the objective exactly on the support
+    (``_support_qp``: the equality-constrained KKT point when every support
+    weight is positive there, one NNLS otherwise).  With
+    ``H = lam G + nu G*G`` that support problem is ``min a^T Q a + c^T a``
+    with ``Q = H1[I, I] + H2[J, J]``.
 
     Identical points have identical gram rows, so the penalty sees only the
     mass on each class of identical points (``_point_classes``).  ``Q`` is
@@ -210,11 +243,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     part, do not change along the cycle while the cost does.  So before the
     support solve the loop takes the exact line-searched FW step toward
     ``s``, which makes every support cell positive, and then pushes mass
-    downhill round the one cycle ``s`` may close until a cell empties.  The
-    support stays a forest over the point classes, on which ``Q`` is
-    definite when each gram is definite over its distinct points; a ``Q``
-    that still fails its Cholesky factorization raises
-    ``NumericalFailureError``.
+    downhill round the one cycle ``s`` may close until a cell empties
+    (``_forest_cycle``).  The support stays a forest over the point
+    classes, on which ``Q`` is definite when each gram is definite over its
+    distinct points; a ``Q`` that still fails its Cholesky factorization
+    raises ``NumericalFailureError``.
 
     The iterate is the support itself: cell indices ``idx`` (rows ``I``,
     columns ``J``) and weights ``a``; the dense plan is built once, at
@@ -227,12 +260,17 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
-    the gap met ``cfg.tol_gap``.  ``cfg.max_outer_iters`` bounds the outer
-    iterations; the returned plan is the last one evaluated.  A tie between
-    bit-equal gradient entries goes to the first cell in row-major order,
-    and reruns are bit-identical.  The gradient rows of identical points are
-    equal only up to rounding, so which copy of an identical point receives
-    mass is not specified.
+    the gap met ``cfg.tol_gap``.  If a support solve returns the support
+    and weights it started from, bit for bit, every later iteration would
+    repeat this one (a stall, seen with near-duplicate points, whose ``Q``
+    is nearly singular): it stops there too, unconverged.
+    ``cfg.max_outer_iters`` bounds the outer iterations; the returned plan
+    is the last one evaluated, and the trace records the stop reason and
+    the support solves by route.  A tie between bit-equal gradient entries
+    goes to the first cell in row-major order, and reruns are
+    bit-identical.  The gradient rows of identical points are equal only up
+    to rounding, so which copy of an identical point receives mass is not
+    specified.
     """
     m, n = L.shape
     H1, H2 = _penalty_matrices(G1, G2, cfg)
@@ -245,9 +283,13 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     objs = []
     gaps = []
     converged = False
+    solves = fallbacks = 0
 
     def failure(what):
-        trace = SolveTrace(np.array(objs), np.array(gaps), len(objs), False)
+        trace = SolveTrace(
+            np.array(objs), np.array(gaps), len(objs), False,
+            support_solves=solves, nnls_solves=fallbacks,
+        )
         return NumericalFailureError(what, trace=trace)
 
     # The objective sums every entry of H1u and H2u, so with L finite,
@@ -282,8 +324,15 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         objs.append(obj)
         gaps.append(fw_gap)
         converged = fw_gap <= cfg.tol_gap
-        if converged or s in idx or it + 1 == cfg.max_outer_iters:
+        stop = (
+            "gap" if converged
+            else "fixed_point" if s in idx
+            else "budget" if it + 1 == cfg.max_outer_iters
+            else None
+        )
+        if stop:
             break
+        idx_prev, a_prev = idx, a
 
         # Exact FW step toward s: the marginals move by d1 = e_si - r1 and
         # d2 = e_sj - r2, where H1 r1 = H1u + w1.
@@ -313,11 +362,17 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         I, J = np.divmod(idx, n)
         Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
         try:
-            a = _support_qp(Q, Lf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
+            a, fell_back = _support_qp(Q, Lf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
         except np.linalg.LinAlgError as exc:
             raise failure(f"support solve failed: {exc}") from exc
+        solves += 1
+        fallbacks += fell_back
         keep = a > 0.0
         idx, a = idx[keep], a[keep]
+        if np.array_equal(idx, idx_prev) and np.array_equal(a, a_prev):
+            # The next iteration would repeat this one exactly.
+            stop = "stall"
+            break
 
     alpha = np.zeros((m, n))
     alpha.flat[idx] = a
@@ -326,6 +381,9 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         gap_or_residual_per_iter=np.array(gaps),
         iters_used=len(objs),
         converged=converged,
+        support_solves=solves,
+        nnls_solves=fallbacks,
+        stop_reason=stop,
     )
     return alpha, trace
 
@@ -346,8 +404,12 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     The solve starts at the vertex ``argmin C`` and stops once the
     conditional-gradient duality gap is at most ``cfg.tol_gap``, at a fixed
     point of the loop (reported unconverged unless the gap met the target),
-    or after ``cfg.max_outer_iters`` outer iterations; see
-    ``_frank_wolfe_simplex``.
+    at a stall, where a support solve returns its starting iterate bit for
+    bit (reported unconverged), or after ``cfg.max_outer_iters`` outer
+    iterations; see ``_frank_wolfe_simplex``.  The trace's ``stop_reason``
+    names which (``"gap"``, ``"fixed_point"``, ``"stall"``, ``"budget"``),
+    and ``support_solves`` and ``nnls_solves`` count the support solves and
+    those that fell back from the exact KKT fast path to the NNLS.
     """
     Cm = cost_entries(C)
     G1 = gram_entries(G1)
@@ -512,6 +574,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         iters_used=len(objs),
         converged=converged,
         inner_cap_hits=cap_hits,
+        stop_reason="residual" if converged else "budget",
     )
     plan = PlanCoefficients(
         alpha=_clean_simplex(alpha),

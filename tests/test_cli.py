@@ -135,6 +135,35 @@ class TestSolve:
         assert code == 1
         assert "sigma" in capsys.readouterr().err
 
+    def test_user_cost_with_emit_model_exit_one(self, workdir, capsys):
+        # A model maps with the squared-Euclidean barycenter; it cannot
+        # stand for a plan fitted to a user cost.
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        tgt = write_points(workdir / "y.csv", [[0.5], [2.0]])
+        cost = write_points(workdir / "c.csv", [[0.5, 2.0], [0.5, 1.0]])
+        out, model = workdir / "plan.json", workdir / "model.json"
+        code = run(
+            ["solve", "--source", src, "--target", tgt, "--kernel", "gaussian",
+             "--sigma", 1.0, "--cost", cost, "--out", out, "--emit-model", model]
+        )
+        assert code == 1
+        assert "--emit-model requires --cost sqeuclidean" in capsys.readouterr().err
+        assert not out.exists() and not model.exists()
+        assert not (workdir / "plan.json.manifest.json").exists()
+
+    def test_plan_payload_keeps_its_trace_fields(self, workdir):
+        src = write_points(workdir / "x.csv", [[0.0], [1.0], [3.0]])
+        tgt = write_points(workdir / "y.csv", [[0.5], [2.0], [2.5]])
+        out = workdir / "plan.json"
+        code = run(
+            ["solve", "--source", src, "--target", tgt, "--kernel", "gaussian",
+             "--sigma", 1.0, "--out", out]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"alpha", "objective", "converged", "trace"}
+        assert set(doc["trace"]) == {"iters_used", "converged", "final_gap_or_residual"}
+
     def test_bad_csv_names_location(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text("a,b\n1.0,zzz\n")
@@ -336,6 +365,15 @@ class TestExperimentCommands:
         assert run(argv) == 1
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_gaussian_empty_samples_exit_one(self, workdir, capsys):
+        out = workdir / "report.json"
+        argv = ["eval-gaussian", "--dim", 2, "--samples", "", "--sigma", 1.0,
+                "--out", out]
+        assert run(argv) == 1
+        assert "at least one sample count" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (workdir / "report.json.manifest.json").exists()
 
     def test_sample_complexity_single_count_exit_one(self, workdir, capsys):
         out = workdir / "slope.json"

@@ -1,6 +1,15 @@
-import numpy as np
+import csv
+import warnings
 
-from mmdot.dataio import read_matrix_csv, write_matrix_csv
+import numpy as np
+import pytest
+
+from mmdot.dataio import (
+    CsvFormatError,
+    read_labeled_csv,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 
 
 def test_write_matrix_csv_exact_text(tmp_path):
@@ -21,3 +30,76 @@ def test_write_matrix_csv_integer_input_written_as_floats(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, np.array([[1, -2]]), header=["a", "b"])
     assert path.read_text() == "a,b\n1.0,-2.0\n"
+
+
+def csv_module_rows(path):
+    """Every row after the header through the csv module and float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh)][1:]
+    return [[float(cell) for cell in row] for row in rows if row]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_read_matches_csv_module_bit_for_bit(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 8))
+    M = rng.normal(size=(int(rng.integers(1, 80)), k))
+    M *= 10.0 ** rng.integers(-300, 301, size=M.shape)
+    lines = [",".join(f"c{j}" for j in range(k))]
+    for row in M.tolist():
+        lines.append(",".join(map(repr, row)))
+        if rng.random() < 0.2:
+            lines.append("")
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = read_labeled_csv(path)
+    assert got.labels is None
+    assert got.features.shape == M.shape
+    assert got.features.tobytes() == M.tobytes()
+    assert got.features.tobytes() == np.array(csv_module_rows(path)).tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    '"1.5",2\n',  # quoted cell
+    "1_000,2\n",  # float() takes underscores
+    " 1.5 , -2e-3 \r\n3,4\r\n",
+    "nan,-inf\n",
+])
+def test_read_accepts_what_float_accepts(tmp_path, body):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n" + body, newline="")
+    got = read_matrix_csv(path)
+    np.testing.assert_array_equal(got, csv_module_rows(path))
+
+
+@pytest.mark.parametrize("body, where", [
+    ("1,2\n3\n", "line 3: expected 2 columns, got 1"),  # ragged row
+    ("1,2,3\n4,5,6\n", "line 2: expected 2 columns, got 3"),  # header mismatch
+    ("1,2\n#3,4\n", "line 3: column 'a': not a number: '#3'"),
+    ("1,2\n3,x\n", "line 3: column 'b': not a number: 'x'"),
+    ("1,2\n,4\n", "line 3: column 'a': not a number: ''"),
+])
+def test_read_error_names_file_line_column(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(CsvFormatError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+def test_header_only_gives_zero_rows(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("a,b,c\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_matrix_csv(path)
+    assert got.shape == (0, 3)
+
+
+def test_label_column_read_by_csv_module(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("x,label,y\n0.5,1,2\n\n-1e-300,0,3\n")
+    got = read_labeled_csv(path)
+    assert got.features.tobytes() == np.array([[0.5, 2.0], [-1e-300, 3.0]]).tobytes()
+    assert got.labels.tolist() == [1, 0]

@@ -229,6 +229,13 @@ class TestRunGaussianExperiment:
                 cfg=SolverConfig(), oos_count=oos_count,
             )
 
+    def test_rejects_empty_m_values(self):
+        with pytest.raises(ValueError, match="at least one sample count"):
+            run_gaussian_experiment(
+                d=2, m_values=[], sigma=1.0, repeats=1, cfg=SolverConfig(),
+                oos_count=8,
+            )
+
 
 class TestSampleComplexity:
     @pytest.mark.parametrize("m_values", [[], [5]])

@@ -20,6 +20,7 @@ from mmdot.experiments import make_gaussian_pair, sample_gaussian
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
+    _forest_cycle,
     _point_classes,
     _project_simplex,
     _support_qp,
@@ -261,6 +262,21 @@ class TestSolveSimplified:
         assert trace.gap_or_residual_per_iter[-1] <= 1e-12
         assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
 
+    @pytest.mark.parametrize("seed", [39, 66, 102, 129, 194, 240, 286, 287])
+    def test_repeated_points_unreachable_gap_keep_forest(self, seed):
+        # With the gap target out of reach the loop keeps stepping toward
+        # copies of points already in the support, whose cells close
+        # 2-cycles (two cells between the same row and column classes).
+        # Each push must leave a forest over the classes, or Q is singular.
+        C, G1, G2 = named_instance(f"repeated{seed}")
+        plan, trace = solve_simplified(C, G1, G2, SolverConfig(tol_gap=1e-300))
+        classes = len(set(_point_classes(G1.entries))) + len(
+            set(_point_classes(G2.entries))
+        )
+        assert np.count_nonzero(plan.alpha) <= classes - 1
+        assert trace.stop_reason in ("fixed_point", "stall")
+        assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
+
     def test_indefinite_support_qp_raises_with_trace(self):
         # An indefinite "gram" makes the support QP non-convex; its failed
         # Cholesky factorization surfaces as a NumericalFailureError.
@@ -287,7 +303,54 @@ class TestSolveSimplified:
         )
         assert trace.iters_used < 1200
         assert trace.converged is False
+        assert trace.stop_reason == "fixed_point"
         assert trace.gap_or_residual_per_iter[-1] <= 1e-10
+
+    @pytest.mark.parametrize("seed", [129, 198])
+    def test_near_duplicate_stall_stops(self, seed):
+        # A near-duplicate source pair and target pair make Q nearly
+        # singular; on these seeds the support solve returns its starting
+        # iterate bit for bit at a gap far above the target, and every
+        # later iteration would repeat it.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(6, 1))
+        Y = rng.normal(size=(6, 1))
+        X[1] = X[0] + 1e-6 * rng.normal(size=1)
+        Y[2] = Y[3] + 1e-6 * rng.normal(size=1)
+        plan, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), gram(GAUSS1, X, X), gram(GAUSS1, Y, Y),
+            SolverConfig(),
+        )
+        assert trace.stop_reason == "stall"
+        assert trace.converged is False
+        assert trace.iters_used <= 10
+        assert trace.gap_or_residual_per_iter[-1] > SolverConfig().tol_gap
+        assert abs(plan.alpha.sum() - 1.0) <= 1e-12
+
+    def test_stop_reasons_gap_and_budget(self):
+        C, G1, G2 = gaussian_instance(4, m=6, n=6)
+        _, trace = solve_simplified(C, G1, G2, SolverConfig())
+        assert trace.converged and trace.stop_reason == "gap"
+        assert trace.support_solves == trace.iters_used - 1
+        _, trace = solve_simplified(C, G1, G2, SolverConfig(max_outer_iters=2))
+        assert not trace.converged and trace.stop_reason == "budget"
+        assert trace.iters_used == 2 and trace.support_solves == 1
+
+    def test_cli_scale_solve_takes_fast_path(self):
+        # The cli_roundtrip solve shape (d = 5, m = 150, sigma = 0.5): the
+        # support mostly carries over, so most support optima are interior.
+        pair = make_gaussian_pair(5, seed=811)
+        rng = np.random.default_rng([811, 0xC11])
+        X, Y = (sample_gaussian(np.zeros(5), cov, 150, rng)
+                for cov in (pair.cov1, pair.cov2))
+        kernel = KernelSpec(GAUSSIAN, sigma=0.5)
+        _, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y),
+            SolverConfig(),
+        )
+        assert trace.stop_reason == "gap"
+        assert trace.support_solves == trace.iters_used - 1
+        assert 0 < trace.nnls_solves < trace.support_solves / 2
 
     def test_cli_solve_converges_at_roundtrip_scale(self, tmp_path):
         # d = 5, m = 150, sigma = 0.5: about 165 support cells at the optimum.
@@ -334,18 +397,44 @@ class TestSupportQp:
                     best, best_a = val, a
         return best, best_a
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_brute_force(self, seed):
+    @staticmethod
+    def instance(seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 7))
         B = rng.normal(size=(k, k))
         Q = B.T @ B + 0.1 * np.eye(k)
-        c = rng.normal(scale=3.0, size=k)
-        a = _support_qp(Q, c)
+        return Q, rng.normal(scale=3.0, size=k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        Q, c = self.instance(seed)
+        a, fell_back = _support_qp(Q, c)
         best, best_a = self.brute_force(Q, c)
         assert np.all(a >= 0.0) and abs(a.sum() - 1.0) <= 1e-15
         assert abs((a @ Q @ a + c @ a) - best) <= 1e-12
         np.testing.assert_allclose(a, best_a, atol=1e-10)
+        # The KKT fast path serves exactly the interior optima.
+        assert fell_back == (not np.all(best_a > 0.0))
+
+    def test_brute_force_seeds_take_both_routes(self):
+        routes = {_support_qp(*self.instance(seed))[1] for seed in range(20)}
+        assert routes == {False, True}
+
+    def test_forest_cycle(self):
+        # n = 3 columns, every point its own class; cell (i, j) is 3 i + j.
+        classes = [0, 1, 2]
+        support = [0, 3, 4]  # (0, 0), (1, 0), (1, 1)
+        # (0, 1) closes the cycle; positions of (1, 1), (1, 0), (0, 0).
+        assert _forest_cycle(support, 1, 3, classes, classes) == [2, 1, 0]
+        assert _forest_cycle(support, 2, 3, classes, classes) is None
+        assert _forest_cycle([0, 4], 1, 3, classes, classes) is None
+
+    def test_forest_cycle_identical_rows(self):
+        # Rows 0 and 1 are one class, so (1, 0) closes a 2-cycle with
+        # (0, 0); with both in the support the class pair has two edges.
+        assert _forest_cycle([0], 2, 2, [0, 0], [0, 1]) == [0]
+        assert _forest_cycle([0, 2], 1, 2, [0, 0], [0, 1]) is None
+        assert _forest_cycle([0, 2, 1], 3, 2, [0, 0], [0, 1]) == [2]
 
     def test_point_classes(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [1.0, 0.0]])
@@ -387,7 +476,7 @@ class TestSolveAdmm:
             tol_gap=1e-9,
         )
         plan, trace = solve_admm(C, G1, G2, cfg)
-        assert trace.converged
+        assert trace.converged and trace.stop_reason == "residual"
         assert trace.inner_cap_hits == 0
         res1 = np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / 5.0)
         res2 = np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / 5.0)
@@ -469,6 +558,7 @@ class TestSolveAdmm:
         plan, trace = solve_admm(C, G1, G2, cfg)
         assert not trace.converged
         assert trace.iters_used == 3
+        assert trace.stop_reason == "budget"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_objective_matches_scalar_oracle(self, seed):
