@@ -6,7 +6,7 @@ experiment harnesses plus an exact discrete-OT baseline.
 """
 
 from .dataio import LabeledDataset
-from .embeddings import CostMatrix, mmd_squared, squared_euclidean_cost
+from .embeddings import CostMatrix, squared_euclidean_cost
 from .experiments import (
     ExperimentReport,
     GaussianPair,
@@ -35,7 +35,6 @@ from .transport_map import (
     batch_weights,
     conditional_weights,
     load_model,
-    map_point_closed_form,
     map_point_sgd,
     map_points_closed_form,
     save_model,

@@ -324,7 +324,8 @@ def build_parser():
     p.add_argument("--cost", default="sqeuclidean")
     p.add_argument("--source")
     p.add_argument("--target")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest only: exact EMD is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_emd)
 

@@ -76,9 +76,11 @@ def read_labeled_csv(path) -> LabeledDataset:
         label_idx = header.index("label") if "label" in header else None
         feat_idx = [k for k in range(len(header)) if k != label_idx]
         rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # Physical line, not record count: a quoted cell may span lines.
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
@@ -158,8 +160,9 @@ def _atomic_write(path, payload: str) -> None:
 def write_matrix_csv(path, M, header=None, extra_columns=None) -> None:
     """Write a matrix as CSV with a header row, atomically.
 
-    ``extra_columns`` is an optional list of ``(name, values)`` appended
-    after the numeric columns (used for e.g. the fallback flag).
+    ``extra_columns`` is an optional list of ``(name, values)`` of integers
+    or flags, appended after the numeric columns (used for e.g. the
+    fallback flag).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if header is None:
@@ -167,13 +170,13 @@ def write_matrix_csv(path, M, header=None, extra_columns=None) -> None:
     names = list(header)
     extras = extra_columns or []
     names += [name for name, _ in extras]
-    lines = [",".join(names)]
-    # tolist() yields Python floats, whose repr is the shortest round trip.
-    for i, row in enumerate(M.tolist()):
-        cells = list(map(repr, row))
-        cells += [str(vals[i]) for _, vals in extras]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # Built column by column: tolist() yields Python floats, whose repr is
+    # the shortest round trip, and Python ints and bools, whose str is the
+    # one their numpy scalars print.
+    cols = [map(repr, col) for col in M.T.tolist()]
+    cols += [map(str, np.asarray(vals).tolist()) for _, vals in extras]
+    rows = map(",".join, zip(*cols))
+    _atomic_write(path, "\n".join([",".join(names), *rows]) + "\n")
 
 
 def write_json(path, doc) -> None:

@@ -196,8 +196,8 @@ def run_gaussian_experiment(
     if repeats < 1 or oos_count < 1:
         raise ValueError("repeats and oos_count must be >= 1")
     m_values = [int(m) for m in m_values]
-    if not m_values:
-        raise ValueError("m_values must hold at least one sample count")
+    if not m_values or min(m_values) < 1:
+        raise ValueError("m_values must hold at least one sample count, each >= 1")
     pair = make_gaussian_pair(d, seed=cfg.seed)
     A_true = gaussian_map_matrix(pair)
     report = ExperimentReport(kind="gaussian_map")

@@ -99,7 +99,10 @@ def gram(spec: KernelSpec, A, B) -> GramMatrix:
     if spec.kind == GAUSSIAN:
         d2 = cdist(Ap, Bp, "sqeuclidean")
         np.maximum(d2, 0.0, out=d2)
-        K = np.exp(-d2 / (2.0 * spec.sigma**2))
+        # In place, with the rounding of np.exp(-d2 / (2 sigma^2)).
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * spec.sigma**2
+        K = np.exp(d2, out=d2)
     else:
         K = np.zeros((Ap.shape[0], Bp.shape[0]))
         for i in range(Ap.shape[0]):

@@ -24,12 +24,13 @@ from .kernels import KernelSpec, gram
 
 _WEIGHT_NEG_TOL = 1e-12
 _WEIGHT_SUM_FLOOR = 1e-12
-# The batch map evaluates the weights of at most this many points at once,
-# which bounds its m x N kernel and n x N weight blocks.
+# The batch map evaluates the kernel of at most this many points at once,
+# which bounds its m x N kernel block.
 _BLOCK_ROWS = 4096
-# The batch SGD map draws at most this many target indices at once (about
-# 32 MB), so a block holds max(1, _SGD_BLOCK_DRAWS // steps) points.
-_SGD_BLOCK_DRAWS = 1 << 22
+# The batch SGD map draws at most this many target indices, and computes as
+# many step sizes, at once (about 32 MB together), so a block holds
+# max(1, _SGD_BLOCK_DRAWS // steps) points.
+_SGD_BLOCK_DRAWS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -124,37 +125,50 @@ def conditional_weights(model: TransportMapModel, x) -> MapWeights:
     distribution well defined.  If every weight is (numerically) zero, for
     example an out-of-sample point far from all sources under a narrow
     Gaussian kernel, uniform weights are used and flagged.  The batch map
-    ``map_points_closed_form`` uses the same weights (``batch_weights``).
+    ``map_points_closed_form`` evaluates the same weights in factored form.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     W, fallback = batch_weights(model, x[None, :])
     return MapWeights(weights=W[:, 0], fallback_used=bool(fallback[0]))
 
 
-def map_point_closed_form(model: TransportMapModel, x) -> np.ndarray:
-    """Weighted target mean; exact barycentric map for squared-Euclidean cost."""
-    if model.cost_kind != SQEUCLIDEAN:
-        raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
-    w = conditional_weights(model, x).weights
-    return w @ model.target_points
-
-
 def map_points_closed_form(model: TransportMapModel, X):
     """Vectorized closed-form map over a batch of source points.
 
-    Returns ``(mapped, fallback_flags)`` with one row per input row.  The
-    weights are evaluated ``_BLOCK_ROWS`` points at a time, so memory stays
-    bounded however many points are mapped.
+    Returns ``(mapped, fallback_flags)`` with one row per input row.  The map
+    is evaluated in factored form, ``T(x) = k(x)^T (beta^T Y) / k(x)^T
+    (beta^T 1)`` with ``k(x)`` the m-vector of source-kernel values: the
+    m x (d + 1) matrix ``[beta^T Y, beta^T 1]`` is built once, and each block
+    of ``_BLOCK_ROWS`` points costs one m x N kernel block and one product
+    with it, so memory stays bounded however many points are mapped.  A
+    point whose weight total ``k(x)^T (beta^T 1)`` is at most
+    ``_WEIGHT_SUM_FLOOR`` maps to the uniform target mean and is flagged, as
+    in ``conditional_weights``.
     """
     if model.cost_kind != SQEUCLIDEAN:
         raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mapped = np.empty((X.shape[0], model.target_dim))
     fallback = np.empty(X.shape[0], dtype=bool)
+    # Kernel values are nonnegative, so beta >= 0 keeps every weight >= 0.
+    beta = model.beta_star
+    if np.any(beta < 0):
+        raise InvalidModelError("beta_star must be nonnegative")
+    Y = model.target_points
+    n, d = Y.shape
+    B = np.empty((beta.shape[1], d + 1))
+    B[:, :d] = beta.T @ Y
+    B[:, d] = beta.sum(axis=0)
+    uniform_mean = np.full(n, 1.0 / n) @ Y
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        W, fallback[block] = batch_weights(model, X[block])
-        mapped[block] = W.T @ model.target_points
+        K = gram(model.kernel1, model.source_points, X[block]).entries  # m x N
+        KB = K.T @ B
+        totals = KB[:, d]
+        flags = totals <= _WEIGHT_SUM_FLOOR
+        np.divide(KB[:, :d], np.where(flags, 1.0, totals)[:, None], out=mapped[block])
+        mapped[block][flags] = uniform_mean
+        fallback[block] = flags
     return mapped, fallback
 
 
@@ -239,33 +253,40 @@ def _sgd_lockstep(model, X, steps, step_scale, seed, radius):
             scales[k] = step_scale
         idx[:, k] = np.random.default_rng(seed).choice(Y.shape[0], size=steps, p=w)
 
+    # Step sizes of every step at once, one row per step: dividing by the
+    # whole sqrt(t) table rounds each entry as the per-step quotient would.
+    roots = np.sqrt(np.arange(1, steps + 1, dtype=float))
+    rates = scales[:, None] / roots[:, None, None]  # steps x N x 1
+    sqeuclidean = model.cost_kind == SQEUCLIDEAN
     y = centers.copy()
     avg = np.zeros_like(y)
+    g = np.empty_like(y)
+    dy = np.empty_like(y)
+    step = np.empty_like(y)
     for t in range(1, steps + 1):
-        g = _subgradients(model, y, Y[idx[t - 1]])
-        y = y - (scales / np.sqrt(t))[:, None] * g
-        dy = y - centers
+        if sqeuclidean:
+            # The indices are in range, so clipping never acts; the default
+            # mode would copy through a buffer.
+            Y.take(idx[t - 1], axis=0, out=g, mode="clip")
+            np.subtract(y, g, out=g)
+            g *= 2.0
+        else:
+            g[:] = _subgradients(model, y, Y[idx[t - 1]])
+        g *= rates[t - 1]
+        y -= g
+        np.subtract(y, centers, out=dy)
         nrm = _row_norms(dy)
         far = nrm > radius
         if far.any():
             y[far] = centers[far] + dy[far] * (radius / nrm[far])[:, None]
-        avg += (y - avg) / t
+        np.subtract(y, avg, out=step)
+        step /= t
+        avg += step
     # A non-finite subgradient leaves the iterate non-finite from then on
     # (the projection turns an infinite iterate into NaN), and so the average.
     if not np.all(np.isfinite(avg)):
         raise NumericalFailureError("non-finite subgradient")
     return avg
-
-
-def conditional_objective(model: TransportMapModel, x, y) -> float:
-    """Value of the conditional expected cost at candidate ``y``."""
-    w = conditional_weights(model, x).weights
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if model.cost_kind == SQEUCLIDEAN:
-        return float(np.sum(w * np.sum((model.target_points - y) ** 2, axis=1)))
-    return float(
-        sum(wj * model.cost_fn(y, yj) for wj, yj in zip(w, model.target_points))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Deliberately brute-force and structurally unrelated to the library's own
 algorithms: transportation-polytope vertex enumeration and a dense-LP
 solve for exact discrete OT, dense grid search over the joint simplex for
-the penalized objective, plain scalar expansions for embedding
-quantities, and bisection on the threshold for the simplex projection.
+the penalized objective, bisection on the threshold for the simplex
+projection, and term-by-term sums and row-by-row text for the map's
+objective and the CSV writer.
 """
 
 import itertools
@@ -163,17 +164,18 @@ def simplex_projection_by_bisection(v):
     return min(candidates, key=lambda x: abs(x.sum() - 1.0))
 
 
-def mmd_squared_scalar(kfunc, A, B):
-    """Term-by-term scalar expansion of the squared embedding distance."""
-    m, n = len(A), len(B)
-    total = 0.0
-    for a in A:
-        for a2 in A:
-            total += kfunc(a, a2) / (m * m)
-    for b in B:
-        for b2 in B:
-            total += kfunc(b, b2) / (n * n)
-    for a in A:
-        for b in B:
-            total -= 2.0 * kfunc(a, b) / (m * n)
-    return total
+def conditional_cost(w, targets, cost_fn, y):
+    """Conditional expected cost ``sum_j w_j c(y, y_j)`` at a candidate ``y``."""
+    return sum(wj * cost_fn(y, yj) for wj, yj in zip(w, targets))
+
+
+def matrix_csv_by_rows(M, extra_columns=()):
+    """``write_matrix_csv``'s text, built one row and one cell at a time."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    names = [f"y{k}" for k in range(M.shape[1])] + [name for name, _ in extra_columns]
+    lines = [",".join(names)]
+    for i in range(M.shape[0]):
+        cells = [repr(float(v)) for v in M[i]]
+        cells += [str(vals[i]) for _, vals in extra_columns]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -375,6 +375,15 @@ class TestExperimentCommands:
         assert not out.exists()
         assert not (workdir / "report.json.manifest.json").exists()
 
+    def test_eval_gaussian_zero_sample_count_exit_one(self, workdir, capsys):
+        out = workdir / "report.json"
+        argv = ["eval-gaussian", "--dim", 2, "--samples", "0,1", "--sigma", 1.0,
+                "--repeats", 1, "--oos-count", 8, "--out", out]
+        assert run(argv) == 1
+        assert "each >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (workdir / "report.json.manifest.json").exists()
+
     def test_sample_complexity_single_count_exit_one(self, workdir, capsys):
         out = workdir / "slope.json"
         code = run(

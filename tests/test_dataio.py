@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import matrix_csv_by_rows
+
 from mmdot.dataio import (
     CsvFormatError,
     read_labeled_csv,
@@ -85,6 +87,36 @@ def test_read_error_names_file_line_column(tmp_path, body, where):
     with pytest.raises(CsvFormatError) as info:
         read_matrix_csv(path)
     assert str(info.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("text, where", [
+    # A quoted newline in the header: the bad cell is on physical line 4.
+    ('"a\nb",c\n1,2\n3,x\n', "line 4: column 'c': not a number: 'x'"),
+    # A quoted newline in a data row (float() strips it) shifts later lines.
+    ('a,b\n"1\n",2\n3,4\n5\n', "line 5: expected 2 columns, got 1"),
+])
+def test_read_error_counts_physical_lines(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(CsvFormatError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+def test_write_matrix_csv_matches_row_by_row_text(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    M = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 301, size=(rows, 3))
+    if rows:
+        M[0] = [1e300, -1e-300, -0.0]
+    extras = [
+        ("flag", rng.random(rows) < 0.5),
+        ("count", rng.integers(-5, 5, size=rows)),
+    ]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M, extra_columns=extras)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == matrix_csv_by_rows(M, extras)
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n\n"])

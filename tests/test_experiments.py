@@ -236,6 +236,14 @@ class TestRunGaussianExperiment:
                 oos_count=8,
             )
 
+    @pytest.mark.parametrize("m_values", [[0, 1], [8, -1]])
+    def test_rejects_sample_count_below_one(self, m_values):
+        with pytest.raises(ValueError, match="each >= 1"):
+            run_gaussian_experiment(
+                d=2, m_values=m_values, sigma=1.0, repeats=1, cfg=SolverConfig(),
+                oos_count=8,
+            )
+
 
 class TestSampleComplexity:
     @pytest.mark.parametrize("m_values", [[], [5]])

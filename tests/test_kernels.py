@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mmdot.errors import EmptyInputError, ShapeError
 from mmdot.kernels import (
@@ -93,6 +94,17 @@ class TestGram:
                     eval_kernel(gauss(0.7), A[i], B[j]), abs=1e-15
                 )
         assert not gram(gauss(0.7), A, B).symmetric
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
+    def test_gaussian_bitwise_as_negated_exponent(self, sigma):
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(9, 3))
+        B = rng.normal(size=(5, 3)) * 4.0
+        expected = np.exp(-cdist(A, B, "sqeuclidean") / (2.0 * sigma**2))
+        assert gram(gauss(sigma), A, B).entries.tobytes() == expected.tobytes()
+        sym = np.exp(-cdist(A, A, "sqeuclidean") / (2.0 * sigma**2))
+        upper = np.triu_indices(A.shape[0], 1)
+        assert np.array_equal(gram(gauss(sigma), A, A).entries[upper], sym[upper])
 
     def test_empty_sample_set(self):
         with pytest.raises(EmptyInputError):

@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from oracles import conditional_cost
+
 from mmdot.errors import InvalidModelError, ShapeError
 from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, eval_kernel
 from mmdot.transport_map import (
     TransportMapModel,
-    conditional_objective,
     conditional_weights,
     default_domain_radius,
     load_model,
-    map_point_closed_form,
     map_point_sgd,
     map_points_closed_form,
     model_from_dict,
@@ -21,6 +21,15 @@ from mmdot.transport_map import (
 
 GAUSS1 = KernelSpec(GAUSSIAN, sigma=1.0)
 DELTA = KernelSpec(KRONECKER_DELTA)
+
+
+def pointwise_map(model, x):
+    """Per-point oracle of the closed-form map: the weighted target mean."""
+    return conditional_weights(model, x).weights @ model.target_points
+
+
+def map_one(model, x):
+    return map_points_closed_form(model, np.atleast_2d(x))[0][0]
 
 
 def weights_model(weights, targets, x_probe):
@@ -158,15 +167,15 @@ class TestClosedForm:
             kernel1=GAUSS1,
         )
         for x in ([0.0], [5.0], [-2.0]):
-            np.testing.assert_allclose(map_point_closed_form(model, x), [3.0, -1.0])
+            np.testing.assert_allclose(map_one(model, x), [3.0, -1.0])
 
     def test_uniform_weights_over_two_scalars(self):
         model = weights_model([0.5, 0.5], [[0.0], [2.0]], [0.0])
-        np.testing.assert_allclose(map_point_closed_form(model, [0.0]), [1.0])
+        np.testing.assert_allclose(map_one(model, [0.0]), [1.0])
 
     def test_convex_combination(self):
         model = weights_model([0.25, 0.75], [[0.0, 0.0], [4.0, 0.0]], [0.0])
-        np.testing.assert_allclose(map_point_closed_form(model, [0.0]), [3.0, 0.0])
+        np.testing.assert_allclose(map_one(model, [0.0]), [3.0, 0.0])
 
     def test_out_of_sample_point_accepted(self):
         rng = np.random.default_rng(6)
@@ -176,7 +185,7 @@ class TestClosedForm:
             target_points=rng.normal(size=(3, 2)),
             kernel1=GAUSS1,
         )
-        y = map_point_closed_form(model, [10.0, -10.0])
+        y = map_one(model, [10.0, -10.0])
         assert np.all(np.isfinite(y))
 
     def test_batch_matches_pointwise(self):
@@ -196,7 +205,7 @@ class TestClosedForm:
         for i in range(7):
             assert conditional_weights(model, P[i]).fallback_used == fallback[i]
             np.testing.assert_allclose(
-                batch[i], map_point_closed_form(model, P[i]), atol=1e-12
+                batch[i], pointwise_map(model, P[i]), atol=1e-12
             )
 
     def test_empty_batch(self):
@@ -225,6 +234,44 @@ class TestClosedForm:
             w = conditional_weights(model, P[i])
             assert w.fallback_used == fallback[i]
             assert np.array_equal(mapped[i], w.weights @ model.target_points)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "delta"])
+    def test_factored_blocks_match_pointwise_oracle(self, kernel):
+        # Two kernel blocks, and rows far from (Gaussian) or off (delta)
+        # every source that fall back to the uniform target mean.
+        rng = np.random.default_rng(13)
+        src = rng.normal(size=(7, 2))
+        model = TransportMapModel(
+            beta_star=rng.random((5, 7)),
+            source_points=src,
+            target_points=rng.normal(size=(5, 3)) * 10.0,
+            kernel1=KernelSpec(GAUSSIAN, sigma=0.7) if kernel == "gaussian" else DELTA,
+        )
+        if kernel == "gaussian":
+            P = rng.normal(size=(4200, 2)) * 1.5
+            P[::97] = 1e3
+        else:
+            P = src[rng.integers(0, 7, size=4200)]
+            P[::97] = 5.0
+        mapped, fallback = map_points_closed_form(model, P)
+        assert fallback[::97].all() and not fallback[1::97].any()
+        uniform = model.target_points.mean(axis=0)
+        scale = np.abs(model.target_points).max()
+        for i in range(P.shape[0]):
+            w = conditional_weights(model, P[i])
+            assert w.fallback_used == fallback[i]
+            np.testing.assert_allclose(
+                mapped[i], w.weights @ model.target_points,
+                rtol=1e-12, atol=1e-12 * scale,
+            )
+            if fallback[i]:
+                np.testing.assert_allclose(mapped[i], uniform, rtol=1e-12)
+
+    def test_negative_beta_rejected_at_map_time(self):
+        model = weights_model([0.5, 0.5], [[0.0], [2.0]], [0.0])
+        model.beta_star[0, 0] = -1.0  # frozen dataclass, mutable array
+        with pytest.raises(InvalidModelError):
+            map_points_closed_form(model, [[0.0]])
 
 
 def euclidean_cost(y, yj):
@@ -275,7 +322,7 @@ class TestSgd:
                 kernel1=GAUSS1,
             )
             x = rng.normal(size=3)
-            yc = map_point_closed_form(model, x)
+            yc = pointwise_map(model, x)
             ys = map_point_sgd(model, x, steps=10_000, seed=seed)
             scale = max(np.linalg.norm(yc), default_domain_radius(model))
             assert np.linalg.norm(ys - yc) / scale <= 1e-2
@@ -306,7 +353,9 @@ class TestSgd:
             cost_grad=euclidean_grad,
         )
         y = map_point_sgd(model, [0.0], steps=10_000, seed=1, domain_radius=4.0)
-        assert abs(conditional_objective(model, [0.0], y) - 1.0) <= 1e-2
+        w = conditional_weights(model, [0.0]).weights
+        value = conditional_cost(w, model.target_points, euclidean_cost, y)
+        assert abs(value - 1.0) <= 1e-2
 
     def test_nonpositive_steps_rejected(self):
         model = weights_model([1.0], [[0.0]], [0.0])
@@ -376,11 +425,14 @@ def test_power_cost_objective_convex_along_segments():
             cost_fn=lambda y, yj, p=p: float(np.abs(y - yj).sum() ** p),
             cost_grad=lambda y, yj: y - yj,  # unused here
         )
+        w = conditional_weights(model, [0.0]).weights
+
+        def f(y):
+            return conditional_cost(w, model.target_points, model.cost_fn, [y])
+
         for _ in range(20):
             a, b = rng.normal(size=2) * 3.0
-            fa = conditional_objective(model, [0.0], [a])
-            fb = conditional_objective(model, [0.0], [b])
-            fm = conditional_objective(model, [0.0], [(a + b) / 2.0])
+            fa, fb, fm = f(a), f(b), f((a + b) / 2.0)
             assert fm <= 0.5 * (fa + fb) + 1e-9
 
 
@@ -402,9 +454,9 @@ class TestSerialization:
         assert np.array_equal(loaded.beta_star, model.beta_star)
         assert np.array_equal(loaded.source_points, model.source_points)
         assert loaded.kernel1 == model.kernel1
-        x = np.array([0.3, -0.4])
+        P = np.array([[0.3, -0.4], [2.0, 1.0]])
         assert np.array_equal(
-            map_point_closed_form(loaded, x), map_point_closed_form(model, x)
+            map_points_closed_form(loaded, P)[0], map_points_closed_form(model, P)[0]
         )
 
     def test_dict_round_trip(self):
