@@ -181,8 +181,8 @@ def cmd_map(args):
     if args.method == "closed":
         mapped, fallback = map_points_closed_form(model, P)
     else:
-        mapped = map_point_sgd(model, P, steps=args.steps, seed=args.seed)
-        fallback = batch_weights(model, P)[1]
+        W, fallback = batch_weights(model, P)
+        mapped = map_point_sgd(model, P, steps=args.steps, seed=args.seed, weights=W)
     write_matrix_csv(
         args.out,
         mapped.reshape(-1, model.target_dim),
@@ -277,7 +277,7 @@ def _add_solver_flags(p):
                    help="outer Frank-Wolfe iterations, or ADMM cycles")
     p.add_argument(
         "--max-inner-iters", type=int, default=500, dest="max_inner_iters",
-        help="APG steps of the prox solve in each ADMM cycle",
+        help="Newton steps of the prox solve in each ADMM cycle",
     )
     p.add_argument("--tol", type=float, default=1e-8,
                    help="Frank-Wolfe duality-gap stop; stopping above it exits 2")

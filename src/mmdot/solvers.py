@@ -10,7 +10,8 @@ Three routes are provided:
 * ``solve_admm`` -- consensus ADMM for the variant that carries explicit
   nonnegative conditional-embedding coefficients ``beta`` and ``gamma``
   tied to ``alpha`` through the gram matrices; the proximal ``alpha`` step
-  of each cycle is solved by accelerated projected gradient.
+  of each cycle is solved exactly by semismooth Newton on its
+  (m+n)-dimensional dual.
 * ``solve_emd_exact`` -- exact small-scale discrete OT, used as a
   baseline: an assignment solve when m = n, the transportation LP through
   HiGHS otherwise.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
 from .embeddings import cost_entries
@@ -30,9 +31,8 @@ from .errors import NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
 _EMD_SIZE_CAP = 10_000
-# The ADMM prox solve stops once an accelerated step moves alpha by at most
-# this much in Frobenius norm.
-_PROX_STEP_TOL = 1e-13
+# Sufficient-increase fraction of the Armijo line search in the ADMM prox.
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class SolverConfig:
     (fixed, no adaptive schedule, so traces are reproducible).
     ``max_outer_iters`` bounds the outer Frank-Wolfe iterations (one support
     solve each) or the ADMM cycles; ``max_inner_iters`` bounds the
-    accelerated projected-gradient steps of the prox solve in each ADMM
-    cycle.  ``tol_gap`` is the Frank-Wolfe duality-gap stop.
+    Newton steps of the prox solve in each ADMM cycle (see
+    ``_prox_simplex``).  ``tol_gap`` is the Frank-Wolfe duality-gap stop.
     """
 
     lambda1: float = 10.0
@@ -76,12 +76,13 @@ class SolverConfig:
 class SolveTrace:
     """Per-iteration objective and convergence-measure record.
 
-    ``inner_cap_hits`` counts the ADMM cycles whose prox solve stopped at
-    ``max_inner_iters`` steps instead of its step tolerance; it is always 0
-    on the Frank-Wolfe route.  ``support_solves`` counts the Frank-Wolfe
-    support solves and ``nnls_solves`` those of them that left the exact
-    KKT fast path for the NNLS (see ``_support_qp``); both are 0 on the
-    ADMM route.  ``stop_reason`` says why the loop ended: ``"gap"``
+    ``inner_cap_hits`` counts the ADMM cycles whose prox solve used up its
+    ``max_inner_iters`` Newton steps before reaching its optimum, and
+    ``prox_newton_steps`` the Newton steps of all prox solves; both are
+    always 0 on the Frank-Wolfe route.  ``support_solves`` counts the
+    Frank-Wolfe support solves and ``nnls_solves`` those of them that left
+    the exact KKT fast path for the NNLS (see ``_support_qp``); both are 0
+    on the ADMM route.  ``stop_reason`` says why the loop ended: ``"gap"``
     (Frank-Wolfe duality gap met), ``"fixed_point"`` or ``"stall"`` (see
     ``_frank_wolfe_simplex``), ``"residual"`` (ADMM residuals met) or
     ``"budget"`` (``max_outer_iters`` used up); it is ``None`` on the
@@ -96,6 +97,7 @@ class SolveTrace:
     inner_cap_hits: int = 0
     support_solves: int = 0
     nnls_solves: int = 0
+    prox_newton_steps: int = 0
     stop_reason: str | None = None
 
 
@@ -459,49 +461,116 @@ def _project_simplex(v):
     return np.maximum(v - css[r] / (r + 1), 0.0)
 
 
-def _prox_simplex(H1, H2, rho, center, alpha0, max_iters, lip, mom):
+def _prox_simplex(B, rho, center, y, max_iters):
     """Minimize the ADMM prox objective over the joint probability simplex.
 
         f(alpha) = ||alpha 1 - 1/m||^2_{H1} + ||alpha^T 1 - 1/n||^2_{H2}
                  + rho ||alpha + center||^2_F
 
     with ``H1, H2`` from ``_penalty_matrices``: the penalized plan
-    objective with a zero linear term, plus the proximal term.  ``f`` is
-    ``2 rho``-strongly convex with a ``lip``-Lipschitz gradient, so
-    Nesterov's accelerated projected gradient with the constant momentum
-    ``mom`` converges linearly to the unique minimizer.
-    Starts at ``alpha0`` and stops once a step moves alpha by at most
-    ``_PROX_STEP_TOL`` in Frobenius norm, or after ``max_iters`` steps.
-    Returns ``(alpha, capped)``, where ``capped`` says the budget ran out.
+    objective with a zero linear term, plus the proximal term.  ``B`` is
+    ``blockdiag(B1, B2)`` with ``Bk = Hk^{1/2}``, so ``||u||^2_H = ||B u||^2
+    = max_y 2 y^T B u - ||y||^2``.
+
+    The solve runs on that ``(m+n)``-dimensional dual.  With
+    ``y = (y1, y2)``, ``p = B1 y1``, ``q = B2 y2``,
+    ``v = -center - (p 1^T + 1 q^T) / rho`` and ``alpha(y) = Pi(v)``, the
+    Euclidean projection of ``v`` onto the simplex (``_project_simplex``),
+    minimizing over ``alpha`` first gives (up to a constant)
+
+        D(y) = rho ||alpha - v||^2 - rho ||v||^2 - 2 y1^T B1 1/m - ||y1||^2
+               - 2 y2^T B2 1/n - ||y2||^2,
+
+    strongly concave and C^{1,1}, with gradient ``2 (B u(alpha) - y)``,
+    where ``u(alpha) = (alpha 1 - 1/m, alpha^T 1 - 1/n)``.  It vanishes
+    exactly at ``y = B u``, where ``alpha(y)`` is the prox minimizer.  On
+    the active set ``S = {alpha > 0}``, with row counts ``a``, column
+    counts ``b`` and ``N = |S|``, the projection is affine with Jacobian
+    ``P_S - 1_S 1_S^T / N``, and the semismooth Newton step solves
+    ``(I + B K B / rho) d = B u - y`` with
+
+        K = [[diag a - a a^T / N,   S - a b^T / N    ],
+             [S^T - b a^T / N,      diag b - b b^T / N]],
+
+    positive semidefinite, so the matrix is SPD and factored by Cholesky.
+    ``D`` is quadratic on each active set, so once a full step lands on the
+    active set it started from, ``y`` is the dual optimum up to rounding and
+    the solve stops.
+
+    A step that lands elsewhere must pass the Armijo test
+    ``D(y + d) >= D(y) + _ARMIJO * 2 (B u - y)^T d``.  When it fails, the
+    step is damped Levenberg-Marquardt style, ``(I + B K B / rho + mu I) d
+    = B u - y`` with ``mu = 1, 4, 16, ...``, rather than shortened along
+    its ray: where few cells are active, ``K`` is nearly zero in most
+    directions and the full step there is a plain gradient step far past
+    the next change of active set, while the other directions are
+    well-scaled Newton steps that a shorter ray would shrink with it.  If
+    the predicted rise ``2 (B u - y)^T d`` no longer changes ``D`` in
+    floating point, ``y`` is optimal to working precision and the solve
+    stops there.
+
+    Starts at the dual point ``y`` (the previous cycle's, for a warm start)
+    and takes at most ``max_iters`` Newton steps.  Returns
+    ``(alpha, y, steps, capped)``, where ``capped`` says the budget ran out.
     """
-    m, n = alpha0.shape
-    x = y = alpha0
-    for _ in range(max_iters):
-        u1 = y.sum(axis=1) - 1.0 / m
-        u2 = y.sum(axis=0) - 1.0 / n
-        g = (2.0 * (H1 @ u1))[:, None] + 2.0 * (H2 @ u2) + 2.0 * rho * (y + center)
-        x_new = _project_simplex((y - g / lip).ravel()).reshape(m, n)
-        d = x_new - x
-        x = x_new
-        if np.linalg.norm(d) <= _PROX_STEP_TOL:
-            return x, False
-        y = x + mom * d
-    return x, True
+    m, n = center.shape
+    k = m + n
+    diag = np.arange(k)
+
+    def at(y):
+        z = B @ y
+        v = -center - (z[:m, None] + z[m:]) / rho
+        alpha = _project_simplex(v.ravel()).reshape(m, n)
+        u = np.concatenate([alpha.sum(axis=1) - 1.0 / m, alpha.sum(axis=0) - 1.0 / n])
+        dual = (
+            rho * float(np.sum(alpha * (alpha - 2.0 * v)))
+            - 2.0 * (z[:m].sum() / m + z[m:].sum() / n)
+            - float(y @ y)
+        )
+        return alpha, dual, B @ u - y
+
+    alpha, dual, r = at(y)
+    eye = np.eye(k)
+    for step in range(1, max_iters + 1):
+        S = alpha > 0.0
+        Sf = S.astype(float)
+        ab = np.concatenate([Sf.sum(axis=1), Sf.sum(axis=0)])
+        K = np.outer(ab, -1.0 / ab[:m].sum() * ab)
+        K[diag, diag] += ab
+        K[:m, m:] += Sf
+        K[m:, :m] += Sf.T
+        M = eye + B @ K @ B / rho
+        mu = 0.0
+        while True:
+            d = cho_solve((cholesky(M + mu * eye), False), r, check_finite=False)
+            slope = 2.0 * float(r @ d)
+            y_new = y + d
+            alpha_new, dual_new, r_new = at(y_new)
+            if mu == 0.0 and np.array_equal(alpha_new > 0.0, S):
+                return alpha_new, y_new, step, False
+            if dual_new >= dual + _ARMIJO * slope:
+                break
+            if dual + slope == dual:
+                return alpha, y, step, False
+            mu = max(4.0 * mu, 1.0)
+        y, alpha, dual, r = y_new, alpha_new, dual_new, r_new
+    return alpha, y, max_iters, True
 
 
 def solve_admm(C, G1, G2, cfg: SolverConfig):
     """Consensus ADMM with explicit nonnegative ``beta`` and ``gamma``.
 
     Each cycle minimizes the proximal penalized objective for ``alpha``
-    over the simplex (accelerated projected gradient warm-started at the
-    previous ``alpha``, at most ``cfg.max_inner_iters`` steps; see
-    ``_prox_simplex``), fits ``beta`` and ``gamma`` exactly to the
-    consensus relations ``alpha = G1 beta^T / m`` and
+    over the simplex exactly (semismooth Newton on its dual, warm-started
+    at the previous cycle's dual point, at most ``cfg.max_inner_iters``
+    Newton steps; see ``_prox_simplex``), fits ``beta`` and ``gamma``
+    exactly to the consensus relations ``alpha = G1 beta^T / m`` and
     ``alpha = gamma G2 / n`` with the column-wise NNLS of ``derive_beta``,
     then takes the plain dual ascent updates.  Stops when both primal
     residuals fall below ``cfg.tol_residual``; running out of budget
     returns ``converged=False`` rather than raising.  The trace's
-    ``inner_cap_hits`` counts the cycles whose prox solve ran out of steps.
+    ``inner_cap_hits`` counts the cycles whose prox solve ran out of steps
+    and ``prox_newton_steps`` the Newton steps of all of them.
     """
     Cm = cost_entries(C)
     G1 = gram_entries(G1)
@@ -509,28 +578,29 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     m, n = _check_shapes(Cm, G1, G2)
     rho = cfg.rho_admm
 
-    # The prox objective's curvature depends only on the fixed grams.
     H1, H2 = _penalty_matrices(G1, G2, cfg)
-    lip = 2.0 * (
-        rho + n * np.linalg.eigvalsh(H1)[-1] + m * np.linalg.eigvalsh(H2)[-1]
-    )
-    sq = np.sqrt(2.0 * rho / lip)
-    mom = (1.0 - sq) / (1.0 + sq)
+    # The prox solve's dual works with B = H^{1/2}; eigenvalues below zero
+    # are rounding and are clipped.
+    B = block_diag(*(
+        (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+        for w, V in map(np.linalg.eigh, (H1, H2))
+    ))
 
-    alpha = np.full((m, n), 1.0 / (m * n))
     beta = np.zeros((n, m))
     gamma = np.zeros((m, n))
     D1 = np.zeros((m, n))
     D2 = np.zeros((m, n))
+    y = np.zeros(m + n)
 
     objs = []
     residuals = []
-    cap_hits = 0
+    cap_hits = newton_steps = 0
     converged = False
 
     def failure(what):
         trace = SolveTrace(
-            np.array(objs), np.array(residuals), len(objs), False, cap_hits
+            np.array(objs), np.array(residuals), len(objs), False, cap_hits,
+            prox_newton_steps=newton_steps,
         )
         return NumericalFailureError(f"{what} in consensus iteration", trace=trace)
 
@@ -540,9 +610,10 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         )
         if not np.all(np.isfinite(center)):
             raise failure("non-finite prox center")
-        alpha, capped = _prox_simplex(
-            H1, H2, rho, center, alpha, cfg.max_inner_iters, lip, mom
+        alpha, y, steps, capped = _prox_simplex(
+            B, rho, center, y, cfg.max_inner_iters
         )
+        newton_steps += steps
         cap_hits += capped
 
         # beta update: min_{beta>=0} ||alpha + D1 - G1 beta^T / m||^2
@@ -574,6 +645,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         iters_used=len(objs),
         converged=converged,
         inner_cap_hits=cap_hits,
+        prox_newton_steps=newton_steps,
         stop_reason="residual" if converged else "budget",
     )
     plan = PlanCoefficients(

@@ -93,7 +93,11 @@ def batch_weights(model: TransportMapModel, X):
     """Normalized conditional weights of a batch of points, one column each.
 
     Returns ``(W, fallback)`` with ``W`` n x N; ``fallback[k]`` flags the
-    uniform fallback of ``conditional_weights`` at ``X[k]``.
+    uniform fallback of ``conditional_weights`` at ``X[k]``.  One kernel
+    block serves the whole batch, but each point's weights are their own
+    matrix-vector product and their own sum, so every column is bit for bit
+    what a call on that point alone returns (a matrix product and a
+    column-wise sum round differently).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.beta_star.shape[0]
@@ -104,17 +108,19 @@ def batch_weights(model: TransportMapModel, X):
             f"point dimension {X.shape[1]} does not match sources {model.source_dim}"
         )
     K = gram(model.kernel1, model.source_points, X).entries  # m x N
-    W = model.beta_star @ K  # n x N
+    W = np.empty((X.shape[0], n))  # one row per point, transposed at return
+    for k in range(X.shape[0]):
+        W[k] = model.beta_star @ K[:, k]
     if np.any(W < -_WEIGHT_NEG_TOL):
         raise InvalidModelError(
             f"materially negative conditional weight: min={W.min():g}"
         )
     np.maximum(W, 0.0, out=W)
-    totals = W.sum(axis=0)
+    totals = W.sum(axis=1)
     fallback = totals <= _WEIGHT_SUM_FLOOR
-    W[:, fallback] = 1.0 / n
-    W /= np.where(fallback, 1.0, totals)
-    return W, fallback
+    W[fallback] = 1.0 / n
+    W /= np.where(fallback, 1.0, totals)[:, None]
+    return W.T, fallback
 
 
 def conditional_weights(model: TransportMapModel, x) -> MapWeights:
@@ -202,6 +208,7 @@ def map_point_sgd(
     step_scale: float | None = None,
     seed: int = 0,
     domain_radius: float | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projected averaged SGD on the conditional expected cost.
 
@@ -215,7 +222,9 @@ def map_point_sgd(
     dimension).  The rows of a batch run in lockstep, each with its own
     weights, its own ``default_rng(seed)`` index stream and, unless
     ``step_scale`` is given, its own step scale, so every row is bit for
-    bit what a call on that row alone returns.
+    bit what a call on that row alone returns.  ``weights`` are the rows'
+    conditional weights as ``batch_weights(model, x)`` returns them (n x N);
+    they are computed when not given.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -223,24 +232,27 @@ def map_point_sgd(
     X = np.atleast_2d(x)
     if domain_radius is None:
         domain_radius = default_domain_radius(model)
+    if weights is None:
+        weights = batch_weights(model, X)[0]
     rows = max(1, _SGD_BLOCK_DRAWS // steps)
     out = np.empty((X.shape[0], model.target_dim))
     for lo in range(0, X.shape[0], rows):
         out[lo:lo + rows] = _sgd_lockstep(
-            model, X[lo:lo + rows], steps, step_scale, seed, domain_radius
+            model, weights[:, lo:lo + rows], steps, step_scale, seed, domain_radius
         )
     return out if x.ndim == 2 else out[0]
 
 
-def _sgd_lockstep(model, X, steps, step_scale, seed, radius):
-    """``map_point_sgd`` on the rows of ``X``, advanced one step at a time."""
+def _sgd_lockstep(model, W, steps, step_scale, seed, radius):
+    """``map_point_sgd`` on the points whose weights are the columns of ``W``,
+    advanced one step at a time."""
     Y = model.target_points
-    N = X.shape[0]
+    N = W.shape[1]
     centers = np.empty((N, Y.shape[1]))
     scales = np.empty(N)
     idx = np.empty((steps, N), dtype=np.intp)
     for k in range(N):
-        w = conditional_weights(model, X[k]).weights
+        w = W[:, k]
         centers[k] = w @ Y
         if step_scale is None:
             # Scale so a unit-subgradient step at t=1 traverses a fraction

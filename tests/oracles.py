@@ -179,3 +179,22 @@ def matrix_csv_by_rows(M, extra_columns=()):
         cells += [str(vals[i]) for _, vals in extra_columns]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def prox_kkt_gap(H1, H2, rho, center, alpha):
+    """Relative KKT gap of ``alpha`` for the ADMM prox objective.
+
+    The objective is ``f(alpha) = u1^T H1 u1 + u2^T H2 u2 + rho
+    ||alpha + center||^2`` over the joint probability simplex, with the
+    marginal residuals ``u1 = alpha 1 - 1/m`` and ``u2 = alpha^T 1 - 1/n``.
+    Its gradient ``g`` is written out term by term, and the conditional-
+    gradient gap ``<g, alpha> - min g``, an upper bound on
+    ``f(alpha) - min f``, is returned divided by ``1 + f(alpha)``.
+    """
+    m, n = alpha.shape
+    u1 = alpha.sum(axis=1) - 1.0 / m
+    u2 = alpha.sum(axis=0) - 1.0 / n
+    shifted = alpha + center
+    f = float(u1 @ H1 @ u1 + u2 @ H2 @ u2 + rho * np.sum(shifted**2))
+    g = 2.0 * (H1 @ u1)[:, None] + 2.0 * (H2 @ u2)[None, :] + 2.0 * rho * shifted
+    return float(np.sum(g * alpha) - g.min()) / (1.0 + f)

@@ -8,6 +8,7 @@ from oracles import emd_by_vertex_enumeration
 from mmdot.cli import main
 from mmdot.dataio import write_matrix_csv
 from mmdot.errors import NumericalFailureError
+from mmdot import transport_map
 from mmdot.transport_map import load_model, save_model
 
 
@@ -188,7 +189,9 @@ class TestSolve:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert "beta" in doc and "gamma" in doc
+        # The trace's prox telemetry stays out of the payload.
+        assert set(doc) == {"alpha", "objective", "converged", "trace", "beta", "gamma"}
+        assert set(doc["trace"]) == {"iters_used", "converged", "final_gap_or_residual"}
 
 
 class TestMapRoundTrip:
@@ -263,6 +266,22 @@ class TestMapRoundTrip:
         yc = np.loadtxt(out_c, delimiter=",", skiprows=1)[:2]
         ys = np.loadtxt(out_s, delimiter=",", skiprows=1)[:2]
         assert np.linalg.norm(ys - yc) / max(np.linalg.norm(yc), 1.0) <= 1e-2
+
+    def test_sgd_map_builds_one_kernel_block(self, workdir, monkeypatch):
+        # Five points share one batch of kernel values: the fallback flags
+        # and every point's SGD weights come from the same gram call.
+        model = self.make_model(workdir)
+        pts = write_points(
+            workdir / "pts.csv", np.random.default_rng(8).normal(size=(5, 2))
+        )
+        calls = []
+        original = transport_map.gram
+        monkeypatch.setattr(
+            transport_map, "gram", lambda *a: calls.append(a) or original(*a)
+        )
+        assert run(["map", "--model", model, "--points", pts, "--method", "sgd",
+                    "--steps", 100, "--out", workdir / "s.csv"]) == 0
+        assert len(calls) == 1 and calls[0][2].shape == (5, 2)
 
     def test_dimension_mismatch_exit_one(self, workdir, capsys):
         model = self.make_model(workdir)

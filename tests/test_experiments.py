@@ -326,6 +326,23 @@ class TestDomainAdaptation:
         )
         assert "accuracy_oos" in rep2.records[0]
 
+    def test_admm_report_carries_no_solver_telemetry(self):
+        # The trace's prox telemetry stays out of the study report.
+        rng = np.random.default_rng(4)
+        src = blob_dataset(rng, self.CENTERS, 6)
+        oos = blob_dataset(rng, self.CENTERS, 3)
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=5, seed=0)
+        rep = run_domain_adaptation(
+            src, src, src, sigma=0.5, cfg=cfg, oos_source=oos, method="admm"
+        )
+        doc = rep.to_dict()
+        assert set(doc) == {"kind", "records", "aggregates", "details"}
+        assert doc["details"] == {"method": "admm"} and doc["aggregates"] == {}
+        assert set(doc["records"][0]) == {
+            "sigma", "seed", "m", "n", "accuracy_in_sample", "cond_G1",
+            "cond_G2", "converged", "accuracy_oos",
+        }
+
     def test_unseen_test_label_rejected(self):
         rng = np.random.default_rng(3)
         src = blob_dataset(rng, [self.CENTERS[0]], 10)  # only label 0

@@ -8,6 +8,7 @@ from oracles import (
     emd_by_linear_program,
     emd_by_vertex_enumeration,
     penalized_objective,
+    prox_kkt_gap,
     simplex_grid_min,
     simplex_projection_by_bisection,
 )
@@ -21,6 +22,7 @@ from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
     _forest_cycle,
+    _penalty_matrices,
     _point_classes,
     _project_simplex,
     _support_qp,
@@ -523,26 +525,57 @@ class TestSolveAdmm:
         rho = 200.0
         cfg = SolverConfig(rho_admm=rho, max_outer_iters=1, max_inner_iters=300)
         plan, trace = solve_admm(C, G1, G2, cfg)
-        a = plan.alpha
-        m, n = a.shape
-        K1, K2 = G1.entries, G2.entries
-        H1 = cfg.lambda1 * K1 + cfg.nu1 * K1 * K1
-        H2 = cfg.lambda2 * K2 + cfg.nu2 * K2 * K2
-        u1 = a.sum(axis=1) - 1.0 / m
-        u2 = a.sum(axis=0) - 1.0 / n
-        shifted = a + C.entries / (2.0 * rho)
-        f = u1 @ H1 @ u1 + u2 @ H2 @ u2 + rho * np.sum(shifted**2)
-        g = 2.0 * (H1 @ u1)[:, None] + 2.0 * (H2 @ u2)[None, :] + 2.0 * rho * shifted
-        gap = float(np.sum(g * a) - g.min())
+        H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
         assert trace.inner_cap_hits == 0
-        assert gap <= 1e-9 * (1.0 + f)
+        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
 
     def test_inner_cap_hits_count_capped_cycles(self):
+        # The cold first cycle needs more than one Newton step: with a
+        # budget of one it is capped, at the default budget it is not.
         C, G1, G2 = blob_instance(0)
-        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=4, max_inner_iters=1)
-        _, trace = solve_admm(C, G1, G2, cfg)
-        assert trace.iters_used == 4
-        assert trace.inner_cap_hits == trace.iters_used
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=1, max_inner_iters=1)
+        _, capped = solve_admm(C, G1, G2, cfg)
+        assert capped.inner_cap_hits == 1 and capped.prox_newton_steps == 1
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=1)
+        _, solved = solve_admm(C, G1, G2, cfg)
+        assert solved.inner_cap_hits == 0 and solved.prox_newton_steps > 1
+
+    def test_prox_exact_at_cli_scale(self):
+        # m = n = 150 samples shaped like the CLI round trip (sigma 0.5,
+        # rho 200): every prox solve finishes within the default step
+        # budget, and the first one, whose center is C / (2 rho), is exact.
+        pair = make_gaussian_pair(5, seed=901)
+        rng = np.random.default_rng(901)
+        X = sample_gaussian(pair.mean1, pair.cov1, 150, rng)
+        Y = sample_gaussian(pair.mean2, pair.cov2, 150, rng)
+        kernel = KernelSpec(GAUSSIAN, sigma=0.5)
+        C, G1, G2 = squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+        rho = 200.0
+        _, trace = solve_admm(C, G1, G2, SolverConfig(rho_admm=rho, max_outer_iters=3))
+        assert trace.iters_used == 3 and trace.inner_cap_hits == 0
+        cfg = SolverConfig(rho_admm=rho, max_outer_iters=1)
+        plan, trace = solve_admm(C, G1, G2, cfg)
+        H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
+        assert trace.inner_cap_hits == 0
+        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [0.01, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m,n", [(6, 8), (12, 12)])
+    def test_prox_exact_on_hard_cold_starts(self, rho, seed, m, n):
+        # A small rho under a heavy penalty makes the prox dual nearly
+        # piecewise linear: full Newton steps overshoot and cycle between
+        # active sets until the step budget runs out on every one of these
+        # instances, so the damped steps of the line search must act.
+        C, G1, G2 = gaussian_instance(seed, m=m, n=n)
+        cfg = SolverConfig(
+            lambda1=1e3, lambda2=1e3, nu1=1e3, nu2=1e3, rho_admm=rho,
+            max_outer_iters=1,
+        )
+        plan, trace = solve_admm(C, G1, G2, cfg)
+        H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
+        assert trace.inner_cap_hits == 0
+        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_raises(self, bad):
