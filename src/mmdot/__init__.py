@@ -30,10 +30,8 @@ from .solvers import (
     solve_simplified,
 )
 from .transport_map import (
-    MapWeights,
     TransportMapModel,
     batch_weights,
-    conditional_weights,
     load_model,
     map_point_sgd,
     map_points_closed_form,

@@ -46,7 +46,6 @@ from .kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, gram
 from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import (
     TransportMapModel,
-    batch_weights,
     load_model,
     map_point_sgd,
     map_points_closed_form,
@@ -174,19 +173,12 @@ def cmd_map(args):
     t0 = time.perf_counter()
     model = load_model(args.model)
     P = read_matrix_csv(args.points)
-    if P.shape[0] > 0 and P.shape[1] != model.source_dim:
-        raise ShapeError(
-            f"points dimension {P.shape[1]} does not match model {model.source_dim}"
-        )
     if args.method == "closed":
         mapped, fallback = map_points_closed_form(model, P)
     else:
-        W, fallback = batch_weights(model, P)
-        mapped = map_point_sgd(model, P, steps=args.steps, seed=args.seed, weights=W)
+        mapped, fallback = map_point_sgd(model, P, steps=args.steps, seed=args.seed)
     write_matrix_csv(
-        args.out,
-        mapped.reshape(-1, model.target_dim),
-        extra_columns=[("fallback", fallback.astype(int))],
+        args.out, mapped, extra_columns=[("fallback", fallback.astype(int))]
     )
     _finish(args, [args.model, args.points], t0)
     return 0

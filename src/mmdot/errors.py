@@ -21,7 +21,11 @@ class NumericalFailureError(RuntimeError):
 
 
 class InvalidModelError(ValueError):
-    """A transport-map model produced materially negative weights."""
+    """A transport-map model is malformed or cannot serve the request.
+
+    For example a non-finite or negative coefficient, an unknown cost kind,
+    or the closed-form map asked of a non-squared-Euclidean model.
+    """
 
 
 class DatasetError(ValueError):

@@ -63,6 +63,8 @@ def _as_points(A) -> np.ndarray:
         A = A[:, None]
     if A.ndim != 2:
         raise ShapeError(f"sample set must be 1-d or 2-d, got ndim={A.ndim}")
+    if not np.isfinite(A).all():
+        raise ValueError("sample set has non-finite entries")
     return A
 
 
@@ -87,6 +89,7 @@ def gram(spec: KernelSpec, A, B) -> GramMatrix:
 
     The symmetric flag is set iff ``A`` and ``B`` are the same object, in
     which case exact bitwise symmetry and a unit diagonal are enforced.
+    Points with a non-finite coordinate raise ``ValueError``.
     """
     symmetric = A is B
     Ap = _as_points(A)

@@ -660,7 +660,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
 # Exact discrete OT
 # ---------------------------------------------------------------------------
 
-def solve_emd_exact(C, m=None, n=None):
+def solve_emd_exact(C):
     """Exact discrete OT with uniform marginals.
 
     With m = n an optimal assignment divided by m is an optimal coupling
@@ -671,12 +671,7 @@ def solve_emd_exact(C, m=None, n=None):
     Cm = cost_entries(C)
     if Cm.ndim != 2:
         raise ShapeError("cost matrix must be 2-d")
-    mm, nn = Cm.shape
-    if m is not None and m != mm:
-        raise ShapeError(f"declared m={m} does not match cost rows {mm}")
-    if n is not None and n != nn:
-        raise ShapeError(f"declared n={n} does not match cost columns {nn}")
-    m, n = mm, nn
+    m, n = Cm.shape
     if m * n > _EMD_SIZE_CAP:
         raise ShapeError(f"m*n = {m * n} exceeds exact-solver cap {_EMD_SIZE_CAP}")
 

@@ -22,7 +22,6 @@ from .embeddings import SQEUCLIDEAN, USER_SUPPLIED
 from .errors import InvalidModelError, NumericalFailureError, ShapeError
 from .kernels import KernelSpec, gram
 
-_WEIGHT_NEG_TOL = 1e-12
 _WEIGHT_SUM_FLOOR = 1e-12
 # The batch map evaluates the kernel of at most this many points at once,
 # which bounds its m x N kernel block.
@@ -37,8 +36,10 @@ _SGD_BLOCK_DRAWS = 1 << 21
 class TransportMapModel:
     """Frozen bundle needed to evaluate the barycentric map anywhere.
 
-    ``cost_fn(y, y_j)`` and ``cost_grad(y, y_j)`` must be supplied for
-    user-defined costs; they are ignored for squared-Euclidean.
+    Checked once, here: shapes must agree, every entry must be finite,
+    ``beta_star`` nonnegative (so no conditional weight is negative) and
+    ``cost_kind`` known.  The arrays are stored as read-only copies.
+    ``cost_grad(y, y_j)`` must be supplied for a user-defined cost.
     """
 
     beta_star: np.ndarray
@@ -46,13 +47,12 @@ class TransportMapModel:
     target_points: np.ndarray
     kernel1: KernelSpec
     cost_kind: str = SQEUCLIDEAN
-    cost_fn: Callable | None = None
     cost_grad: Callable | None = None
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_star, dtype=float)
-        src = np.atleast_2d(np.asarray(self.source_points, dtype=float))
-        tgt = np.atleast_2d(np.asarray(self.target_points, dtype=float))
+        beta = np.array(self.beta_star, dtype=float)
+        src = np.atleast_2d(np.array(self.source_points, dtype=float))
+        tgt = np.atleast_2d(np.array(self.target_points, dtype=float))
         n, m = beta.shape
         if src.shape[0] != m:
             raise ShapeError(
@@ -62,15 +62,18 @@ class TransportMapModel:
             raise ShapeError(
                 f"beta has {n} target rows but {tgt.shape[0]} target points"
             )
+        for name, a in (("beta_star", beta), ("source_points", src),
+                        ("target_points", tgt)):
+            if not np.isfinite(a).all():
+                raise InvalidModelError(f"{name} has non-finite entries")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if np.any(beta < 0):
             raise InvalidModelError("beta_star must be nonnegative")
-        if self.cost_kind == USER_SUPPLIED and (
-            self.cost_fn is None or self.cost_grad is None
-        ):
-            raise InvalidModelError("user-supplied cost requires cost_fn and cost_grad")
-        object.__setattr__(self, "beta_star", beta)
-        object.__setattr__(self, "source_points", src)
-        object.__setattr__(self, "target_points", tgt)
+        if self.cost_kind not in (SQEUCLIDEAN, USER_SUPPLIED):
+            raise InvalidModelError(f"unknown cost kind: {self.cost_kind!r}")
+        if self.cost_kind == USER_SUPPLIED and self.cost_grad is None:
+            raise InvalidModelError("user-supplied cost requires cost_grad")
 
     @property
     def source_dim(self):
@@ -81,61 +84,35 @@ class TransportMapModel:
         return self.target_points.shape[1]
 
 
-@dataclass(frozen=True)
-class MapWeights:
-    """Conditional weights on the simplex over the target samples, for one point."""
-
-    weights: np.ndarray
-    fallback_used: bool
-
-
 def batch_weights(model: TransportMapModel, X):
-    """Normalized conditional weights of a batch of points, one column each.
+    """Conditional weights of a batch of points, normalized to the simplex.
 
-    Returns ``(W, fallback)`` with ``W`` n x N; ``fallback[k]`` flags the
-    uniform fallback of ``conditional_weights`` at ``X[k]``.  One kernel
-    block serves the whole batch, but each point's weights are their own
-    matrix-vector product and their own sum, so every column is bit for bit
-    what a call on that point alone returns (a matrix product and a
-    column-wise sum round differently).
+    A point ``x`` has weights ``w_j = sum_i beta[j, i] k1(x_i, x)``.  The
+    barycentric argmin is invariant to positive scaling of the weights, so
+    normalization preserves the map and makes the SGD sampling distribution
+    well defined.  If every weight of a point is (numerically) zero, for
+    example an out-of-sample point far from all sources under a narrow
+    Gaussian kernel, its weights are uniform and flagged.
+
+    Returns ``(W, fallback)`` with ``W`` n x N, one column per row of ``X``
+    (a 1-d ``X`` is one point).  One kernel block serves the whole batch,
+    but each point's weights are their own matrix-vector product and their
+    own sum, so every column is bit for bit what a one-point batch returns
+    (a matrix product and a column-wise sum round differently).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.beta_star.shape[0]
     if X.shape[0] == 0:
         return np.zeros((n, 0)), np.zeros(0, dtype=bool)
-    if X.shape[1] != model.source_dim:
-        raise ShapeError(
-            f"point dimension {X.shape[1]} does not match sources {model.source_dim}"
-        )
     K = gram(model.kernel1, model.source_points, X).entries  # m x N
     W = np.empty((X.shape[0], n))  # one row per point, transposed at return
     for k in range(X.shape[0]):
         W[k] = model.beta_star @ K[:, k]
-    if np.any(W < -_WEIGHT_NEG_TOL):
-        raise InvalidModelError(
-            f"materially negative conditional weight: min={W.min():g}"
-        )
-    np.maximum(W, 0.0, out=W)
     totals = W.sum(axis=1)
     fallback = totals <= _WEIGHT_SUM_FLOOR
     W[fallback] = 1.0 / n
     W /= np.where(fallback, 1.0, totals)[:, None]
     return W.T, fallback
-
-
-def conditional_weights(model: TransportMapModel, x) -> MapWeights:
-    """Weights ``w_j = sum_i beta[j, i] k1(x_i, x)``, normalized to the simplex.
-
-    The barycentric argmin is invariant to positive scaling of the weights,
-    so normalization is semantics-preserving and makes the SGD sampling
-    distribution well defined.  If every weight is (numerically) zero, for
-    example an out-of-sample point far from all sources under a narrow
-    Gaussian kernel, uniform weights are used and flagged.  The batch map
-    ``map_points_closed_form`` evaluates the same weights in factored form.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    W, fallback = batch_weights(model, x[None, :])
-    return MapWeights(weights=W[:, 0], fallback_used=bool(fallback[0]))
 
 
 def map_points_closed_form(model: TransportMapModel, X):
@@ -149,17 +126,14 @@ def map_points_closed_form(model: TransportMapModel, X):
     with it, so memory stays bounded however many points are mapped.  A
     point whose weight total ``k(x)^T (beta^T 1)`` is at most
     ``_WEIGHT_SUM_FLOOR`` maps to the uniform target mean and is flagged, as
-    in ``conditional_weights``.
+    in ``batch_weights``.
     """
     if model.cost_kind != SQEUCLIDEAN:
         raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mapped = np.empty((X.shape[0], model.target_dim))
     fallback = np.empty(X.shape[0], dtype=bool)
-    # Kernel values are nonnegative, so beta >= 0 keeps every weight >= 0.
     beta = model.beta_star
-    if np.any(beta < 0):
-        raise InvalidModelError("beta_star must be nonnegative")
     Y = model.target_points
     n, d = Y.shape
     B = np.empty((beta.shape[1], d + 1))
@@ -203,47 +177,41 @@ def _row_norms(D):
 
 def map_point_sgd(
     model: TransportMapModel,
-    x,
+    X,
     steps: int = 10_000,
-    step_scale: float | None = None,
     seed: int = 0,
     domain_radius: float | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Projected averaged SGD on the conditional expected cost.
+):
+    """Projected averaged SGD on the conditional expected cost of each point.
 
     At step ``t`` a target index is sampled with probability ``w_j``, a
     subgradient of ``c(., y_j)`` is taken at the current iterate, the step
-    size is ``step_scale / sqrt(t)``, and the iterate is projected onto the
+    size is ``scale / sqrt(t)``, and the iterate is projected onto the
     Euclidean ball of ``domain_radius`` around the weighted target mean.
-    The running average of the iterates is returned.
+    The running average of the iterates is the mapped point.
 
-    ``x`` is one point or an N x d batch (the result is then N x target
-    dimension).  The rows of a batch run in lockstep, each with its own
-    weights, its own ``default_rng(seed)`` index stream and, unless
-    ``step_scale`` is given, its own step scale, so every row is bit for
-    bit what a call on that row alone returns.  ``weights`` are the rows'
-    conditional weights as ``batch_weights(model, x)`` returns them (n x N);
-    they are computed when not given.
+    Returns ``(mapped, fallback)`` as ``map_points_closed_form`` does: one
+    row per row of ``X`` (a 1-d ``X`` is one point) and the uniform-weight
+    flags of ``batch_weights``, whose one call gives every row's weights.
+    The rows run in lockstep, each with its own weights, its own
+    ``default_rng(seed)`` index stream and its own step scale, so every row
+    is bit for bit what a one-point batch returns.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
     if domain_radius is None:
         domain_radius = default_domain_radius(model)
-    if weights is None:
-        weights = batch_weights(model, X)[0]
+    W, fallback = batch_weights(model, X)
     rows = max(1, _SGD_BLOCK_DRAWS // steps)
-    out = np.empty((X.shape[0], model.target_dim))
-    for lo in range(0, X.shape[0], rows):
-        out[lo:lo + rows] = _sgd_lockstep(
-            model, weights[:, lo:lo + rows], steps, step_scale, seed, domain_radius
+    mapped = np.empty((W.shape[1], model.target_dim))
+    for lo in range(0, W.shape[1], rows):
+        mapped[lo:lo + rows] = _sgd_lockstep(
+            model, W[:, lo:lo + rows], steps, seed, domain_radius
         )
-    return out if x.ndim == 2 else out[0]
+    return mapped, fallback
 
 
-def _sgd_lockstep(model, W, steps, step_scale, seed, radius):
+def _sgd_lockstep(model, W, steps, seed, radius):
     """``map_point_sgd`` on the points whose weights are the columns of ``W``,
     advanced one step at a time."""
     Y = model.target_points
@@ -254,15 +222,11 @@ def _sgd_lockstep(model, W, steps, step_scale, seed, radius):
     for k in range(N):
         w = W[:, k]
         centers[k] = w @ Y
-        if step_scale is None:
-            # Scale so a unit-subgradient step at t=1 traverses a fraction
-            # of the feasible ball; keeps the variance of the averaged
-            # iterate low.
-            G = _subgradients(model, np.broadcast_to(centers[k], Y.shape), Y)
-            grad_bound = max(float(_row_norms(G).max()), 2.0 * radius, 1e-12)
-            scales[k] = radius / grad_bound
-        else:
-            scales[k] = step_scale
+        # Scale so a unit-subgradient step at t=1 traverses a fraction of
+        # the feasible ball; keeps the variance of the averaged iterate low.
+        G = _subgradients(model, np.broadcast_to(centers[k], Y.shape), Y)
+        grad_bound = max(float(_row_norms(G).max()), 2.0 * radius, 1e-12)
+        scales[k] = radius / grad_bound
         idx[:, k] = np.random.default_rng(seed).choice(Y.shape[0], size=steps, p=w)
 
     # Step sizes of every step at once, one row per step: dividing by the
@@ -315,7 +279,7 @@ def model_to_dict(model: TransportMapModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict, cost_fn=None, cost_grad=None) -> TransportMapModel:
+def model_from_dict(doc: dict) -> TransportMapModel:
     kernel = KernelSpec(kind=doc["kernel"]["kind"], sigma=doc["kernel"]["sigma"])
     return TransportMapModel(
         beta_star=np.array(doc["beta_star"], dtype=float),
@@ -323,8 +287,6 @@ def model_from_dict(doc: dict, cost_fn=None, cost_grad=None) -> TransportMapMode
         target_points=np.array(doc["target_points"], dtype=float),
         kernel1=kernel,
         cost_kind=doc.get("cost_kind", SQEUCLIDEAN),
-        cost_fn=cost_fn,
-        cost_grad=cost_grad,
     )
 
 

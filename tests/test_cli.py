@@ -291,6 +291,46 @@ class TestMapRoundTrip:
         assert code == 1
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["closed", "sgd"])
+    @pytest.mark.parametrize(
+        "field", ["beta_star", "source_points", "target_points"]
+    )
+    def test_non_finite_model_exit_one(self, workdir, capsys, field, method):
+        model = self.make_model(workdir)
+        doc = json.loads(model.read_text())
+        doc[field][0][0] = float("nan")
+        model.write_text(json.dumps(doc))
+        pts = write_points(workdir / "pts.csv", [[0.0, 0.0]])
+        code = run(["map", "--model", model, "--points", pts, "--method", method,
+                    "--steps", 100, "--out", workdir / "m.csv"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot map: error: {field} has non-finite entries"]
+
+    @pytest.mark.parametrize("method", ["closed", "sgd"])
+    def test_unknown_cost_kind_exit_one(self, workdir, capsys, method):
+        model = self.make_model(workdir)
+        doc = json.loads(model.read_text())
+        doc["cost_kind"] = "foo"
+        model.write_text(json.dumps(doc))
+        pts = write_points(workdir / "pts.csv", [[0.0, 0.0]])
+        code = run(["map", "--model", model, "--points", pts, "--method", method,
+                    "--steps", 100, "--out", workdir / "m.csv"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot map: error: unknown cost kind: 'foo'"]
+
+    @pytest.mark.parametrize("method", ["closed", "sgd"])
+    def test_non_finite_points_exit_one(self, workdir, capsys, method):
+        model = self.make_model(workdir)
+        pts = workdir / "pts.csv"
+        pts.write_text("x0,x1\n0.5,1.0\nnan,0.0\n")
+        code = run(["map", "--model", model, "--points", pts, "--method", method,
+                    "--steps", 100, "--out", workdir / "m.csv"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot map: error: sample set has non-finite entries"]
+
     def test_map_rerun_byte_identical(self, workdir):
         model = self.make_model(workdir)
         pts = write_points(workdir / "pts.csv", [[0.1, 0.3], [2.0, -1.0]])

@@ -114,6 +114,14 @@ class TestGram:
         with pytest.raises(ShapeError):
             gram(gauss(), np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_points_rejected(self, bad, side):
+        A = [np.zeros((2, 2)), np.ones((3, 2))]
+        A[side][1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gram(gauss(), *A)
+
     def test_one_dimensional_input_promoted(self):
         G = gram(gauss(), np.array([0.0, 2.0]), np.array([0.0, 2.0]))
         assert G.entries.shape == (2, 2)

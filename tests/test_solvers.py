@@ -703,7 +703,3 @@ class TestSolveEmdExact:
     def test_size_cap(self):
         with pytest.raises(ShapeError):
             solve_emd_exact(np.zeros((101, 101)))
-
-    def test_declared_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            solve_emd_exact(np.zeros((2, 2)), m=3)

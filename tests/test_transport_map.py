@@ -9,7 +9,7 @@ from mmdot.errors import InvalidModelError, ShapeError
 from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, eval_kernel
 from mmdot.transport_map import (
     TransportMapModel,
-    conditional_weights,
+    batch_weights,
     default_domain_radius,
     load_model,
     map_point_sgd,
@@ -23,9 +23,15 @@ GAUSS1 = KernelSpec(GAUSSIAN, sigma=1.0)
 DELTA = KernelSpec(KRONECKER_DELTA)
 
 
+def point_weights(model, x):
+    """Weights and fallback flag of one point, from a 1-row batch."""
+    W, fallback = batch_weights(model, x)
+    return W[:, 0], bool(fallback[0])
+
+
 def pointwise_map(model, x):
     """Per-point oracle of the closed-form map: the weighted target mean."""
-    return conditional_weights(model, x).weights @ model.target_points
+    return point_weights(model, x)[0] @ model.target_points
 
 
 def map_one(model, x):
@@ -69,6 +75,42 @@ class TestModelValidation:
                 kernel1=GAUSS1,
             )
 
+    @pytest.mark.parametrize(
+        "field", ["beta_star", "source_points", "target_points"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        arrays = dict(beta_star=np.ones((1, 1)), source_points=np.zeros((1, 1)),
+                      target_points=np.zeros((1, 1)))
+        arrays[field][0, 0] = bad
+        with pytest.raises(InvalidModelError, match=field):
+            TransportMapModel(kernel1=GAUSS1, **arrays)
+
+    def test_unknown_cost_kind_rejected(self):
+        with pytest.raises(InvalidModelError, match="unknown cost kind"):
+            TransportMapModel(
+                beta_star=np.ones((1, 1)),
+                source_points=np.zeros((1, 1)),
+                target_points=np.zeros((1, 1)),
+                kernel1=GAUSS1,
+                cost_kind="foo",
+            )
+
+    def test_model_arrays_are_read_only(self):
+        beta = np.array([[0.5], [0.5]])
+        model = TransportMapModel(
+            beta_star=beta,
+            source_points=np.zeros((1, 1)),
+            target_points=np.array([[0.0], [2.0]]),
+            kernel1=DELTA,
+        )
+        for a in (model.beta_star, model.source_points, model.target_points):
+            with pytest.raises(ValueError):
+                a[0, 0] = -1.0
+        # The model froze a copy; the caller's array stays writable.
+        beta[0, 0] = -1.0
+        assert model.beta_star[0, 0] == 0.5
+
     def test_user_cost_requires_callbacks(self):
         with pytest.raises(InvalidModelError):
             TransportMapModel(
@@ -88,9 +130,9 @@ class TestConditionalWeights:
             target_points=np.array([[5.0]]),
             kernel1=GAUSS1,
         )
-        w = conditional_weights(model, [0.7])
-        np.testing.assert_allclose(w.weights, [1.0])
-        assert not w.fallback_used
+        w, fallback = point_weights(model, [0.7])
+        np.testing.assert_allclose(w, [1.0])
+        assert not fallback
 
     def test_delta_kernel_identity_beta_picks_basis_vector(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -101,7 +143,7 @@ class TestConditionalWeights:
             kernel1=DELTA,
         )
         for i in range(3):
-            w = conditional_weights(model, X[i]).weights
+            w, _ = point_weights(model, X[i])
             np.testing.assert_allclose(w, np.eye(3)[i])
 
     def test_matches_scalar_double_sum(self):
@@ -120,7 +162,7 @@ class TestConditionalWeights:
             ]
         )
         expected = raw / raw.sum()
-        got = conditional_weights(model, x).weights
+        got, _ = point_weights(model, x)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_weights_on_simplex(self):
@@ -132,9 +174,9 @@ class TestConditionalWeights:
                 target_points=rng.normal(size=(4, 2)),
                 kernel1=GAUSS1,
             )
-            w = conditional_weights(model, rng.normal(size=2))
-            assert np.all(w.weights >= 0.0)
-            assert abs(w.weights.sum() - 1.0) <= 1e-12
+            w, _ = point_weights(model, rng.normal(size=2))
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_far_point_uniform_fallback(self):
         model = TransportMapModel(
@@ -143,9 +185,9 @@ class TestConditionalWeights:
             target_points=np.array([[0.0], [2.0]]),
             kernel1=KernelSpec(GAUSSIAN, sigma=0.01),
         )
-        w = conditional_weights(model, [100.0])
-        assert w.fallback_used
-        np.testing.assert_allclose(w.weights, [0.5, 0.5])
+        w, fallback = point_weights(model, [100.0])
+        assert fallback
+        np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_dimension_mismatch(self):
         model = TransportMapModel(
@@ -155,7 +197,7 @@ class TestConditionalWeights:
             kernel1=GAUSS1,
         )
         with pytest.raises(ShapeError):
-            conditional_weights(model, [0.0])
+            batch_weights(model, [0.0])
 
 
 class TestClosedForm:
@@ -203,7 +245,7 @@ class TestClosedForm:
         assert batch.shape == (7, 3)
         assert fallback.tolist() == [False] * 6 + [True]
         for i in range(7):
-            assert conditional_weights(model, P[i]).fallback_used == fallback[i]
+            assert point_weights(model, P[i])[1] == fallback[i]
             np.testing.assert_allclose(
                 batch[i], pointwise_map(model, P[i]), atol=1e-12
             )
@@ -231,9 +273,9 @@ class TestClosedForm:
         assert mapped.shape == (4100, 2)
         assert fallback.tolist() == (P[:, 0] == 5.0).tolist()
         for i in range(P.shape[0]):
-            w = conditional_weights(model, P[i])
-            assert w.fallback_used == fallback[i]
-            assert np.array_equal(mapped[i], w.weights @ model.target_points)
+            w, flag = point_weights(model, P[i])
+            assert flag == fallback[i]
+            assert np.array_equal(mapped[i], w @ model.target_points)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "delta"])
     def test_factored_blocks_match_pointwise_oracle(self, kernel):
@@ -258,20 +300,14 @@ class TestClosedForm:
         uniform = model.target_points.mean(axis=0)
         scale = np.abs(model.target_points).max()
         for i in range(P.shape[0]):
-            w = conditional_weights(model, P[i])
-            assert w.fallback_used == fallback[i]
+            w, flag = point_weights(model, P[i])
+            assert flag == fallback[i]
             np.testing.assert_allclose(
-                mapped[i], w.weights @ model.target_points,
+                mapped[i], w @ model.target_points,
                 rtol=1e-12, atol=1e-12 * scale,
             )
             if fallback[i]:
                 np.testing.assert_allclose(mapped[i], uniform, rtol=1e-12)
-
-    def test_negative_beta_rejected_at_map_time(self):
-        model = weights_model([0.5, 0.5], [[0.0], [2.0]], [0.0])
-        model.beta_star[0, 0] = -1.0  # frozen dataclass, mutable array
-        with pytest.raises(InvalidModelError):
-            map_points_closed_form(model, [[0.0]])
 
 
 def euclidean_cost(y, yj):
@@ -286,7 +322,7 @@ def euclidean_grad(y, yj):
 
 def sgd_by_loop(model, x, steps, seed, domain_radius=None):
     """Reference projected averaged SGD: one point, one step at a time."""
-    w = conditional_weights(model, x).weights
+    w, _ = point_weights(model, x)
     Y = model.target_points
     center = w @ Y
     radius = default_domain_radius(model) if domain_radius is None else domain_radius
@@ -323,9 +359,9 @@ class TestSgd:
             )
             x = rng.normal(size=3)
             yc = pointwise_map(model, x)
-            ys = map_point_sgd(model, x, steps=10_000, seed=seed)
+            ys, _ = map_point_sgd(model, x, steps=10_000, seed=seed)
             scale = max(np.linalg.norm(yc), default_domain_radius(model))
-            assert np.linalg.norm(ys - yc) / scale <= 1e-2
+            assert np.linalg.norm(ys[0] - yc) / scale <= 1e-2
 
     def test_single_target_euclidean_cost(self):
         model = TransportMapModel(
@@ -334,11 +370,10 @@ class TestSgd:
             target_points=np.array([[1.0, 2.0]]),
             kernel1=GAUSS1,
             cost_kind="user",
-            cost_fn=euclidean_cost,
             cost_grad=euclidean_grad,
         )
-        y = map_point_sgd(model, [0.0], steps=10_000, seed=0, domain_radius=5.0)
-        assert np.linalg.norm(y - [1.0, 2.0]) <= 1e-2
+        y, _ = map_point_sgd(model, [0.0], steps=10_000, seed=0, domain_radius=5.0)
+        assert np.linalg.norm(y[0] - [1.0, 2.0]) <= 1e-2
 
     def test_median_degeneracy_objective_value(self):
         # Even weights over scalar targets {0, 2} with Euclidean cost: every
@@ -349,12 +384,11 @@ class TestSgd:
             target_points=np.array([[0.0], [2.0]]),
             kernel1=DELTA,
             cost_kind="user",
-            cost_fn=euclidean_cost,
             cost_grad=euclidean_grad,
         )
-        y = map_point_sgd(model, [0.0], steps=10_000, seed=1, domain_radius=4.0)
-        w = conditional_weights(model, [0.0]).weights
-        value = conditional_cost(w, model.target_points, euclidean_cost, y)
+        y, _ = map_point_sgd(model, [0.0], steps=10_000, seed=1, domain_radius=4.0)
+        w, _ = point_weights(model, [0.0])
+        value = conditional_cost(w, model.target_points, euclidean_cost, y[0])
         assert abs(value - 1.0) <= 1e-2
 
     def test_nonpositive_steps_rejected(self):
@@ -367,8 +401,7 @@ class TestSgd:
         rng = np.random.default_rng(12)
         extra = {}
         if kind == "user_cost":
-            extra = dict(cost_kind="user", cost_fn=euclidean_cost,
-                         cost_grad=euclidean_grad)
+            extra = dict(cost_kind="user", cost_grad=euclidean_grad)
         model = TransportMapModel(
             beta_star=rng.random((6, 4)),
             source_points=rng.normal(size=(4, 2)),
@@ -380,23 +413,42 @@ class TestSgd:
         # fallback weights.
         P = np.vstack([rng.normal(size=(4, 2)), [[1e3, -1e3]]])
         radius = 0.05 if kind == "small_radius" else None
-        batch = map_point_sgd(model, P, steps=300, seed=3, domain_radius=radius)
+        batch, fallback = map_point_sgd(model, P, steps=300, seed=3,
+                                        domain_radius=radius)
         assert batch.shape == (5, 3)
-        assert conditional_weights(model, P[-1]).fallback_used
+        assert fallback.tolist() == [False] * 4 + [True]
         for k in range(P.shape[0]):
-            one = map_point_sgd(model, P[k], steps=300, seed=3, domain_radius=radius)
-            assert np.array_equal(batch[k], one)
-            assert np.array_equal(one, sgd_by_loop(model, P[k], 300, 3, radius))
+            one, flag = map_point_sgd(model, P[k], steps=300, seed=3,
+                                      domain_radius=radius)
+            assert one.shape == (1, 3) and flag.tolist() == [fallback[k]]
+            assert np.array_equal(batch[k], one[0])
+            assert np.array_equal(one[0], sgd_by_loop(model, P[k], 300, 3, radius))
             if radius is not None:
                 # The projection keeps every iterate, so the average, in
                 # the ball around the row's weighted target mean.
-                w = conditional_weights(model, P[k]).weights
-                assert np.linalg.norm(one - w @ model.target_points) <= radius * (1 + 1e-12)
+                w, _ = point_weights(model, P[k])
+                assert np.linalg.norm(one[0] - w @ model.target_points) <= radius * (1 + 1e-12)
+
+    def test_fallback_flags_match_closed_form(self):
+        rng = np.random.default_rng(14)
+        model = TransportMapModel(
+            beta_star=rng.random((5, 4)),
+            source_points=rng.normal(size=(4, 2)),
+            target_points=rng.normal(size=(5, 2)),
+            kernel1=KernelSpec(GAUSSIAN, sigma=0.5),
+        )
+        # The middle point is far from every source.
+        P = np.vstack([rng.normal(size=(3, 2)), [[50.0, 50.0]], rng.normal(size=(2, 2))])
+        mapped, fallback = map_point_sgd(model, P, steps=50, seed=0)
+        closed, closed_fallback = map_points_closed_form(model, P)
+        assert mapped.shape == closed.shape == (6, 2)
+        assert fallback.tolist() == closed_fallback.tolist()
+        assert fallback.tolist() == [False] * 3 + [True] + [False] * 2
 
     def test_batch_of_no_points(self):
         model = weights_model([1.0], [[0.0, 1.0]], [0.0])
-        out = map_point_sgd(model, np.zeros((0, 1)), steps=10)
-        assert out.shape == (0, 2)
+        out, flags = map_point_sgd(model, np.zeros((0, 1)), steps=10)
+        assert out.shape == (0, 2) and flags.shape == (0,)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -406,8 +458,8 @@ class TestSgd:
             target_points=rng.normal(size=(3, 2)),
             kernel1=GAUSS1,
         )
-        a = map_point_sgd(model, [0.1, 0.2], steps=500, seed=42)
-        b = map_point_sgd(model, [0.1, 0.2], steps=500, seed=42)
+        a, _ = map_point_sgd(model, [0.1, 0.2], steps=500, seed=42)
+        b, _ = map_point_sgd(model, [0.1, 0.2], steps=500, seed=42)
         assert np.array_equal(a, b)
 
 
@@ -421,14 +473,14 @@ def test_power_cost_objective_convex_along_segments():
             source_points=np.array([[0.0]]),
             target_points=rng.normal(size=(4, 1)),
             kernel1=DELTA,
-            cost_kind="user",
-            cost_fn=lambda y, yj, p=p: float(np.abs(y - yj).sum() ** p),
-            cost_grad=lambda y, yj: y - yj,  # unused here
         )
-        w = conditional_weights(model, [0.0]).weights
+        w, _ = point_weights(model, [0.0])
+
+        def cost(y, yj, p=p):
+            return float(np.abs(y - yj).sum() ** p)
 
         def f(y):
-            return conditional_cost(w, model.target_points, model.cost_fn, [y])
+            return conditional_cost(w, model.target_points, cost, [y])
 
         for _ in range(20):
             a, b = rng.normal(size=2) * 3.0
