@@ -6,7 +6,7 @@ experiment harnesses plus an exact discrete-OT baseline.
 """
 
 from .dataio import LabeledDataset
-from .embeddings import CostMatrix, squared_euclidean_cost
+from .embeddings import squared_euclidean_cost
 from .experiments import (
     ExperimentReport,
     GaussianPair,

@@ -20,23 +20,18 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .dataio import (
-    CsvFormatError,
     file_digest,
     read_labeled_csv,
     read_matrix_csv,
     write_json,
     write_matrix_csv,
 )
-from .embeddings import CostMatrix, squared_euclidean_cost
-from .errors import (
-    DatasetError,
-    EmptyInputError,
-    InvalidModelError,
-    NumericalFailureError,
-    ShapeError,
-)
+from .embeddings import squared_euclidean_cost
+from .errors import NumericalFailureError, ShapeError
 from .experiments import (
     run_domain_adaptation,
     run_gaussian_experiment,
@@ -52,15 +47,9 @@ from .transport_map import (
     save_model,
 )
 
-_INPUT_ERRORS = (
-    CsvFormatError,
-    ShapeError,
-    DatasetError,
-    EmptyInputError,
-    InvalidModelError,
-    ValueError,
-    OSError,
-)
+# Every input error of the library (CsvFormatError, ShapeError, DatasetError,
+# EmptyInputError, InvalidModelError) is a ValueError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,15 +103,11 @@ def _kernel_spec(args):
     return KernelSpec(KRONECKER_DELTA)
 
 
-def _load_cost(args, X, Y):
-    if args.cost == "sqeuclidean":
-        return squared_euclidean_cost(X, Y), None
-    C = read_matrix_csv(args.cost)
-    if C.shape != (X.shape[0], Y.shape[0]):
-        raise ShapeError(
-            f"cost shape {C.shape} does not match samples ({X.shape[0]}, {Y.shape[0]})"
-        )
-    return CostMatrix(entries=C, cost_kind="user"), args.cost
+def _read_cost(path):
+    C = read_matrix_csv(path)
+    if not np.isfinite(C).all():
+        raise ValueError(f"{path}: cost matrix has non-finite entries")
+    return C
 
 
 def cmd_solve(args):
@@ -136,7 +121,14 @@ def cmd_solve(args):
     kernel = _kernel_spec(args)
     G1 = gram(kernel, X, X)
     G2 = gram(kernel, Y, Y)
-    C, cost_path = _load_cost(args, X, Y)
+    if args.cost == "sqeuclidean":
+        C, cost_path = squared_euclidean_cost(X, Y), None
+    else:
+        C, cost_path = _read_cost(args.cost), args.cost
+    if C.shape != (X.shape[0], Y.shape[0]):
+        raise ShapeError(
+            f"cost shape {C.shape} does not match samples ({X.shape[0]}, {Y.shape[0]})"
+        )
     cfg = _solver_config(args)
     if args.method == "fw":
         plan, trace = solve_simplified(C, G1, G2, cfg)
@@ -188,7 +180,7 @@ def cmd_emd(args):
     t0 = time.perf_counter()
     inputs = []
     if args.cost != "sqeuclidean":
-        C = CostMatrix(entries=read_matrix_csv(args.cost), cost_kind="user")
+        C = _read_cost(args.cost)
         inputs.append(args.cost)
     else:
         if not (args.source and args.target):
@@ -260,21 +252,25 @@ def cmd_domain_adapt(args):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--lambda1", type=float, default=10.0)
-    p.add_argument("--lambda2", type=float, default=10.0)
-    p.add_argument("--nu1", type=float, default=10.0)
-    p.add_argument("--nu2", type=float, default=10.0)
-    p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty")
-    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters",
+    d = SolverConfig()
+    p.add_argument("--lambda1", type=float, default=d.lambda1)
+    p.add_argument("--lambda2", type=float, default=d.lambda2)
+    p.add_argument("--nu1", type=float, default=d.nu1)
+    p.add_argument("--nu2", type=float, default=d.nu2)
+    p.add_argument("--rho", type=float, default=d.rho_admm, help="ADMM penalty")
+    p.add_argument("--max-iters", type=int, default=d.max_outer_iters,
+                   dest="max_iters",
                    help="outer Frank-Wolfe iterations, or ADMM cycles")
     p.add_argument(
-        "--max-inner-iters", type=int, default=500, dest="max_inner_iters",
+        "--max-inner-iters", type=int, default=d.max_inner_iters,
+        dest="max_inner_iters",
         help="Newton steps of the prox solve in each ADMM cycle",
     )
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=d.tol_gap,
                    help="Frank-Wolfe duality-gap stop; stopping above it exits 2")
     p.add_argument(
-        "--tol-residual", type=float, default=1e-6, help="ADMM residual stop"
+        "--tol-residual", type=float, default=d.tol_residual,
+        help="ADMM residual stop",
     )
 
 

@@ -23,8 +23,9 @@ class NumericalFailureError(RuntimeError):
 class InvalidModelError(ValueError):
     """A transport-map model is malformed or cannot serve the request.
 
-    For example a non-finite or negative coefficient, an unknown cost kind,
-    or the closed-form map asked of a non-squared-Euclidean model.
+    For example a non-finite or negative coefficient, a model file with a
+    missing key or an unknown cost kind, or the closed-form map asked of a
+    model with its own ``cost_grad``.
     """
 
 

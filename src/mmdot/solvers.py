@@ -26,7 +26,6 @@ from scipy import sparse
 from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
-from .embeddings import cost_entries
 from .errors import NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
@@ -87,18 +86,26 @@ class SolveTrace:
     ``_frank_wolfe_simplex``), ``"residual"`` (ADMM residuals met) or
     ``"budget"`` (``max_outer_iters`` used up); it is ``None`` on the
     trace of a ``NumericalFailureError``.  None of these fields enters a
-    result payload.
+    result payload.  ``converged`` (the stop reason is ``"gap"`` or
+    ``"residual"``) and ``iters_used`` (the length of the objective trace)
+    are derived.
     """
 
     objective_per_iter: np.ndarray
     gap_or_residual_per_iter: np.ndarray
-    iters_used: int
-    converged: bool
     inner_cap_hits: int = 0
     support_solves: int = 0
     nnls_solves: int = 0
     prox_newton_steps: int = 0
     stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("gap", "residual")
+
+    @property
+    def iters_used(self) -> int:
+        return len(self.objective_per_iter)
 
 
 @dataclass(frozen=True)
@@ -284,12 +291,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     objs = []
     gaps = []
-    converged = False
     solves = fallbacks = 0
 
     def failure(what):
         trace = SolveTrace(
-            np.array(objs), np.array(gaps), len(objs), False,
+            np.array(objs), np.array(gaps),
             support_solves=solves, nnls_solves=fallbacks,
         )
         return NumericalFailureError(what, trace=trace)
@@ -325,9 +331,8 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         fw_gap = float(gf[idx] @ a) - float(gf[s])
         objs.append(obj)
         gaps.append(fw_gap)
-        converged = fw_gap <= cfg.tol_gap
         stop = (
-            "gap" if converged
+            "gap" if fw_gap <= cfg.tol_gap
             else "fixed_point" if s in idx
             else "budget" if it + 1 == cfg.max_outer_iters
             else None
@@ -381,8 +386,6 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     trace = SolveTrace(
         objective_per_iter=np.array(objs),
         gap_or_residual_per_iter=np.array(gaps),
-        iters_used=len(objs),
-        converged=converged,
         support_solves=solves,
         nnls_solves=fallbacks,
         stop_reason=stop,
@@ -413,7 +416,7 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     and ``support_solves`` and ``nnls_solves`` count the support solves and
     those that fell back from the exact KKT fast path to the NNLS.
     """
-    Cm = cost_entries(C)
+    Cm = np.asarray(C, dtype=float)
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
     _check_shapes(Cm, G1, G2)
@@ -572,7 +575,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     ``inner_cap_hits`` counts the cycles whose prox solve ran out of steps
     and ``prox_newton_steps`` the Newton steps of all of them.
     """
-    Cm = cost_entries(C)
+    Cm = np.asarray(C, dtype=float)
     G1 = gram_entries(G1)
     G2 = gram_entries(G2)
     m, n = _check_shapes(Cm, G1, G2)
@@ -595,11 +598,11 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     objs = []
     residuals = []
     cap_hits = newton_steps = 0
-    converged = False
+    stop = "budget"
 
     def failure(what):
         trace = SolveTrace(
-            np.array(objs), np.array(residuals), len(objs), False, cap_hits,
+            np.array(objs), np.array(residuals), cap_hits,
             prox_newton_steps=newton_steps,
         )
         return NumericalFailureError(f"{what} in consensus iteration", trace=trace)
@@ -636,17 +639,15 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         objs.append(obj)
         residuals.append(max(r1, r2))
         if r1 <= cfg.tol_residual and r2 <= cfg.tol_residual:
-            converged = True
+            stop = "residual"
             break
 
     trace = SolveTrace(
         objective_per_iter=np.array(objs),
         gap_or_residual_per_iter=np.array(residuals),
-        iters_used=len(objs),
-        converged=converged,
         inner_cap_hits=cap_hits,
         prox_newton_steps=newton_steps,
-        stop_reason="residual" if converged else "budget",
+        stop_reason=stop,
     )
     plan = PlanCoefficients(
         alpha=_clean_simplex(alpha),
@@ -668,9 +669,12 @@ def solve_emd_exact(C):
     solve.  Otherwise the transportation LP goes to HiGHS.  Returns
     ``(coupling, objective)``.
     """
-    Cm = cost_entries(C)
+    Cm = np.asarray(C, dtype=float)
     if Cm.ndim != 2:
         raise ShapeError("cost matrix must be 2-d")
+    # The assignment solver takes an infinite cost for a forbidden cell.
+    if not np.isfinite(Cm).all():
+        raise ValueError("cost matrix has non-finite entries")
     m, n = Cm.shape
     if m * n > _EMD_SIZE_CAP:
         raise ShapeError(f"m*n = {m * n} exceeds exact-solver cap {_EMD_SIZE_CAP}")

@@ -4,9 +4,9 @@ The map sends a source point ``x`` to the minimizer over ``y`` of the
 conditional expected cost, where the conditional distribution over the
 target samples has (unnormalized) weights ``w_j = sum_i beta[j, i] k1(x_i, x)``.
 For squared-Euclidean cost the minimizer is the weighted target mean in
-closed form; general costs route through projected averaged SGD.  Because
-the kernel smooths over the source samples, the map is defined at
-out-of-sample ``x`` as well.
+closed form; a model carrying a ``cost_grad`` routes through projected
+averaged SGD.  Because the kernel smooths over the source samples, the map
+is defined at out-of-sample ``x`` as well.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .dataio import write_json
-from .embeddings import SQEUCLIDEAN, USER_SUPPLIED
 from .errors import InvalidModelError, NumericalFailureError, ShapeError
 from .kernels import KernelSpec, gram
 
@@ -36,17 +35,17 @@ _SGD_BLOCK_DRAWS = 1 << 21
 class TransportMapModel:
     """Frozen bundle needed to evaluate the barycentric map anywhere.
 
-    Checked once, here: shapes must agree, every entry must be finite,
-    ``beta_star`` nonnegative (so no conditional weight is negative) and
-    ``cost_kind`` known.  The arrays are stored as read-only copies.
-    ``cost_grad(y, y_j)`` must be supplied for a user-defined cost.
+    Checked once, here: shapes must agree, every entry must be finite and
+    ``beta_star`` nonnegative (so no conditional weight is negative).  The
+    arrays are stored as read-only copies.  The cost is squared Euclidean
+    unless ``cost_grad(y, y_j)``, a subgradient of ``c(., y_j)`` at ``y``,
+    is given; only the SGD map serves such a model.
     """
 
     beta_star: np.ndarray
     source_points: np.ndarray
     target_points: np.ndarray
     kernel1: KernelSpec
-    cost_kind: str = SQEUCLIDEAN
     cost_grad: Callable | None = None
 
     def __post_init__(self):
@@ -70,14 +69,6 @@ class TransportMapModel:
             object.__setattr__(self, name, a)
         if np.any(beta < 0):
             raise InvalidModelError("beta_star must be nonnegative")
-        if self.cost_kind not in (SQEUCLIDEAN, USER_SUPPLIED):
-            raise InvalidModelError(f"unknown cost kind: {self.cost_kind!r}")
-        if self.cost_kind == USER_SUPPLIED and self.cost_grad is None:
-            raise InvalidModelError("user-supplied cost requires cost_grad")
-
-    @property
-    def source_dim(self):
-        return self.source_points.shape[1]
 
     @property
     def target_dim(self):
@@ -128,7 +119,7 @@ def map_points_closed_form(model: TransportMapModel, X):
     ``_WEIGHT_SUM_FLOOR`` maps to the uniform target mean and is flagged, as
     in ``batch_weights``.
     """
-    if model.cost_kind != SQEUCLIDEAN:
+    if model.cost_grad is not None:
         raise InvalidModelError("closed form is only valid for squared-Euclidean cost")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mapped = np.empty((X.shape[0], model.target_dim))
@@ -161,7 +152,7 @@ def default_domain_radius(model: TransportMapModel) -> float:
 
 def _subgradients(model: TransportMapModel, y, Yj):
     """Subgradient of ``c(., Yj[k])`` at ``y[k]``, one row each."""
-    if model.cost_kind == SQEUCLIDEAN:
+    if model.cost_grad is None:
         return 2.0 * (y - Yj)
     return np.array([model.cost_grad(a, b) for a, b in zip(y, Yj)], dtype=float)
 
@@ -233,7 +224,7 @@ def _sgd_lockstep(model, W, steps, seed, radius):
     # whole sqrt(t) table rounds each entry as the per-step quotient would.
     roots = np.sqrt(np.arange(1, steps + 1, dtype=float))
     rates = scales[:, None] / roots[:, None, None]  # steps x N x 1
-    sqeuclidean = model.cost_kind == SQEUCLIDEAN
+    sqeuclidean = model.cost_grad is None
     y = centers.copy()
     avg = np.zeros_like(y)
     g = np.empty_like(y)
@@ -275,18 +266,31 @@ def model_to_dict(model: TransportMapModel) -> dict:
         "source_points": model.source_points.tolist(),
         "target_points": model.target_points.tolist(),
         "kernel": {"kind": model.kernel1.kind, "sigma": model.kernel1.sigma},
-        "cost_kind": model.cost_kind,
+        "cost_kind": "sqeuclidean",
     }
 
 
+def _field(doc, key, where="model"):
+    if not isinstance(doc, dict):
+        raise InvalidModelError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise InvalidModelError(f"{where} has no {key!r} key")
+    return doc[key]
+
+
 def model_from_dict(doc: dict) -> TransportMapModel:
-    kernel = KernelSpec(kind=doc["kernel"]["kind"], sigma=doc["kernel"]["sigma"])
+    kernel = _field(doc, "kernel")
+    cost_kind = doc.get("cost_kind", "sqeuclidean")
+    if cost_kind != "sqeuclidean":
+        raise InvalidModelError(f"unknown cost kind: {cost_kind!r}")
     return TransportMapModel(
-        beta_star=np.array(doc["beta_star"], dtype=float),
-        source_points=np.array(doc["source_points"], dtype=float),
-        target_points=np.array(doc["target_points"], dtype=float),
-        kernel1=kernel,
-        cost_kind=doc.get("cost_kind", SQEUCLIDEAN),
+        beta_star=_field(doc, "beta_star"),
+        source_points=_field(doc, "source_points"),
+        target_points=_field(doc, "target_points"),
+        kernel1=KernelSpec(
+            kind=_field(kernel, "kind", "kernel"),
+            sigma=_field(kernel, "sigma", "kernel"),
+        ),
     )
 
 
@@ -298,7 +302,7 @@ def save_model(model: TransportMapModel, path) -> None:
     repr is shortest-round-trip, so a written model reads back
     bit-identically.
     """
-    if model.cost_kind != SQEUCLIDEAN:
+    if model.cost_grad is not None:
         raise InvalidModelError("only squared-Euclidean models are serializable")
     write_json(path, model_to_dict(model))
 

@@ -25,7 +25,7 @@ from oracles import emd_by_vertex_enumeration
 
 from mmdot.cli import main as cli_main
 from mmdot.dataio import write_matrix_csv
-from mmdot.embeddings import CostMatrix, squared_euclidean_cost
+from mmdot.embeddings import squared_euclidean_cost
 from mmdot.experiments import (
     gaussian_map_matrix,
     make_gaussian_pair,
@@ -82,10 +82,8 @@ def test_criterion_01_discrete_ot_reduction(announce):
     failures = 0
     for seed in range(25):
         C = np.random.default_rng(seed).integers(0, 10, size=(3, 3)).astype(float)
-        plan, _ = solve_simplified(
-            CostMatrix(entries=C), np.eye(3), np.eye(3), cfg
-        )
-        _, emd_obj = solve_emd_exact(CostMatrix(entries=C))
+        plan, _ = solve_simplified(C, np.eye(3), np.eye(3), cfg)
+        _, emd_obj = solve_emd_exact(C)
         dev = abs(float(np.sum(plan.alpha * C)) - emd_obj)
         worst = max(worst, dev)
         failures += dev > 1e-3
@@ -107,7 +105,7 @@ def test_criterion_02_emd_vs_vertex_enumeration(announce):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         C = rng.random((m, n))
-        _, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+        _, obj = solve_emd_exact(C)
         _, expected = emd_by_vertex_enumeration(C)
         worst = max(worst, abs(obj - expected))
     elapsed = time.perf_counter() - t0

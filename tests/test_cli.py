@@ -5,9 +5,10 @@ import pytest
 
 from oracles import emd_by_vertex_enumeration
 
-from mmdot.cli import main
+from mmdot.cli import _solver_config, build_parser, main
 from mmdot.dataio import write_matrix_csv
 from mmdot.errors import NumericalFailureError
+from mmdot.solvers import SolverConfig
 from mmdot import transport_map
 from mmdot.transport_map import load_model, save_model
 
@@ -151,6 +152,19 @@ class TestSolve:
         assert "--emit-model requires --cost sqeuclidean" in capsys.readouterr().err
         assert not out.exists() and not model.exists()
         assert not (workdir / "plan.json.manifest.json").exists()
+
+    def test_non_finite_cost_exit_one(self, workdir, capsys):
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        tgt = write_points(workdir / "y.csv", [[0.5], [2.0]])
+        cost = workdir / "c.csv"
+        cost.write_text("c0,c1\n0.5,2.0\nnan,1.0\n")
+        out = workdir / "plan.json"
+        code = run(["solve", "--source", src, "--target", tgt, "--kernel",
+                    "gaussian", "--sigma", 1.0, "--cost", cost, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot solve: error: {cost}: cost matrix has non-finite entries"]
+        assert not out.exists()
 
     def test_plan_payload_keeps_its_trace_fields(self, workdir):
         src = write_points(workdir / "x.csv", [[0.0], [1.0], [3.0]])
@@ -321,6 +335,31 @@ class TestMapRoundTrip:
         assert err == ["mmdot map: error: unknown cost kind: 'foo'"]
 
     @pytest.mark.parametrize("method", ["closed", "sgd"])
+    @pytest.mark.parametrize("case,message", [
+        ("kernel", "model has no 'kernel' key"),
+        ("beta_star", "model has no 'beta_star' key"),
+        ("sigma", "kernel has no 'sigma' key"),
+        ("list", "model is not a JSON object"),
+    ])
+    def test_malformed_model_exit_one(self, workdir, capsys, case, message, method):
+        model = self.make_model(workdir)
+        doc = json.loads(model.read_text())
+        if case == "sigma":
+            del doc["kernel"]["sigma"]
+        elif case == "list":
+            doc = [doc]
+        else:
+            del doc[case]
+        model.write_text(json.dumps(doc))
+        pts = write_points(workdir / "pts.csv", [[0.0, 0.0]])
+        code = run(["map", "--model", model, "--points", pts, "--method", method,
+                    "--steps", 100, "--out", workdir / "m.csv"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot map: error: {message}"]
+        assert not (workdir / "m.csv").exists()
+
+    @pytest.mark.parametrize("method", ["closed", "sgd"])
     def test_non_finite_points_exit_one(self, workdir, capsys, method):
         model = self.make_model(workdir)
         pts = workdir / "pts.csv"
@@ -370,6 +409,15 @@ class TestEmd:
         code = run(["emd", "--out", workdir / "o.json"])
         assert code == 1
         assert "--source" in capsys.readouterr().err
+
+    def test_non_finite_cost_exit_one(self, workdir, capsys):
+        cost = workdir / "c.csv"
+        cost.write_text("c0,c1\n0.5,2.0\nnan,1.0\n")
+        out = workdir / "emd.json"
+        assert run(["emd", "--cost", cost, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot emd: error: {cost}: cost matrix has non-finite entries"]
+        assert not out.exists()
 
     def test_size_cap_exit_one(self, workdir, capsys):
         cost = write_points(workdir / "c.csv", np.zeros((101, 101)))
@@ -534,6 +582,21 @@ class TestExperimentCommands:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--source", "x", "--target", "y", "--kernel", "delta"],
+            ["eval-gaussian", "--dim", "1", "--samples", "2,3", "--sigma", "1"],
+            ["sample-complexity", "--dim", "1", "--samples", "2,3", "--sigma", "1"],
+            ["domain-adapt", "--source", "s", "--target-train", "t",
+             "--target-test", "u", "--sigma", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_solver_flag_defaults_are_solver_config_defaults(self, argv):
+        args = build_parser().parse_args(argv + ["--out", "o.json"])
+        assert _solver_config(args) == SolverConfig(seed=0)
+
     def test_no_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             run([])

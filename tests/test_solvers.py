@@ -15,7 +15,7 @@ from oracles import (
 
 from mmdot.cli import main as cli_main
 from mmdot.dataio import write_matrix_csv
-from mmdot.embeddings import CostMatrix, squared_euclidean_cost
+from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import NumericalFailureError, ShapeError
 from mmdot.experiments import make_gaussian_pair, sample_gaussian
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
@@ -102,7 +102,7 @@ class TestSolverConfig:
 
 class TestSolveSimplified:
     def test_linear_objective_hits_min_cost_vertex(self):
-        C = CostMatrix(entries=np.array([[3.0, 1.0], [2.0, 5.0]]))
+        C = np.array([[3.0, 1.0], [2.0, 5.0]])
         cfg = SolverConfig(lambda1=0, lambda2=0, nu1=0, nu2=0)
         plan, trace = solve_simplified(C, np.eye(2), np.eye(2), cfg)
         expected = np.zeros((2, 2))
@@ -113,7 +113,7 @@ class TestSolveSimplified:
 
     def test_singleton(self):
         plan, trace = solve_simplified(
-            CostMatrix(entries=np.array([[7.0]])),
+            np.array([[7.0]]),
             np.array([[1.0]]),
             np.array([[1.0]]),
             SolverConfig(),
@@ -133,9 +133,7 @@ class TestSolveSimplified:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             C = rng.integers(0, 10, size=(3, 3)).astype(float)
-            plan, _ = solve_simplified(
-                CostMatrix(entries=C), np.eye(3), np.eye(3), cfg
-            )
+            plan, _ = solve_simplified(C, np.eye(3), np.eye(3), cfg)
             _, emd_obj = emd_by_vertex_enumeration(C)
             assert abs(float(np.sum(plan.alpha * C)) - emd_obj) < 1e-2
 
@@ -158,7 +156,7 @@ class TestSolveSimplified:
         cfg = SolverConfig(lambda1=2.0, lambda2=3.0, nu1=0.5, nu2=1.5)
         plan, trace = solve_simplified(C, G1, G2, cfg)
         expected = penalized_objective(
-            plan.alpha, C.entries, G1.entries, G2.entries, 2.0, 3.0, 0.5, 1.5
+            plan.alpha, C, G1.entries, G2.entries, 2.0, 3.0, 0.5, 1.5
         )
         # Final reported objective is for the pre-cleanup iterate; re-evaluate.
         assert trace.objective_per_iter[-1] == pytest.approx(expected, rel=1e-8)
@@ -179,7 +177,7 @@ class TestSolveSimplified:
             assert trace.iters_used == budget and not trace.converged
         else:
             assert trace.converged
-        a, L, K1, K2 = plan.alpha, C.entries, G1.entries, G2.entries
+        a, L, K1, K2 = plan.alpha, C, G1.entries, G2.entries
         m, n = a.shape
         H1 = cfg.lambda1 * K1 + cfg.nu1 * K1 * K1
         H2 = cfg.lambda2 * K2 + cfg.nu2 * K2 * K2
@@ -213,7 +211,7 @@ class TestSolveSimplified:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_raises(self, bad):
         C, G1, G2 = gaussian_instance(3)
-        cost = C.entries.copy()
+        cost = C.copy()
         cost[1, 2] = bad
         with pytest.raises(NumericalFailureError) as info:
             solve_simplified(cost, G1, G2, SolverConfig())
@@ -227,7 +225,7 @@ class TestSolveSimplified:
         cfg = SolverConfig(lambda1=2.0, lambda2=2.0, nu1=1.0, nu2=1.0, max_outer_iters=40)
         _, trace = solve_simplified(C, G1, G2, cfg)
         grid_min = simplex_grid_min(
-            C.entries, G1.entries, G2.entries, 2.0, 2.0, 1.0, 1.0, step=5e-3
+            C, G1.entries, G2.entries, 2.0, 2.0, 1.0, 1.0, step=5e-3
         )
         objs = trace.objective_per_iter
         gaps = trace.gap_or_residual_per_iter
@@ -286,7 +284,7 @@ class TestSolveSimplified:
         cfg = SolverConfig(lambda1=1.0, nu1=0.0, lambda2=0.0, nu2=0.0)
         with pytest.raises(NumericalFailureError) as info:
             solve_simplified(
-                CostMatrix(entries=np.zeros((2, 1))), G1, np.ones((1, 1)), cfg
+                np.zeros((2, 1)), G1, np.ones((1, 1)), cfg
             )
         assert "support solve" in str(info.value)
         assert info.value.trace.iters_used == 1
@@ -375,7 +373,7 @@ class TestSolveSimplified:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_simplified(
-                CostMatrix(entries=np.ones((2, 3))), np.eye(3), np.eye(3), SolverConfig()
+                np.ones((2, 3)), np.eye(3), np.eye(3), SolverConfig()
             )
 
 
@@ -448,7 +446,7 @@ class TestSolveAdmm:
     def test_singleton_consensus(self):
         cfg = SolverConfig(lambda1=0, lambda2=0, nu1=0, nu2=0)
         plan, trace = solve_admm(
-            CostMatrix(entries=np.array([[4.0]])),
+            np.array([[4.0]]),
             np.array([[1.0]]),
             np.array([[1.0]]),
             cfg,
@@ -460,7 +458,7 @@ class TestSolveAdmm:
 
     def test_identity_gram_consensus_relations(self):
         # With G = I the consensus constraints read beta = m alpha^T, gamma = n alpha.
-        C = CostMatrix(entries=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        C = np.array([[0.0, 2.0], [2.0, 0.0]])
         cfg = SolverConfig(rho_admm=5.0, tol_residual=1e-6, max_outer_iters=2000)
         plan, trace = solve_admm(C, np.eye(2), np.eye(2), cfg)
         assert trace.converged
@@ -527,7 +525,7 @@ class TestSolveAdmm:
         plan, trace = solve_admm(C, G1, G2, cfg)
         H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
         assert trace.inner_cap_hits == 0
-        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
+        assert prox_kkt_gap(H1, H2, rho, C / (2.0 * rho), plan.alpha) <= 1e-9
 
     def test_inner_cap_hits_count_capped_cycles(self):
         # The cold first cycle needs more than one Newton step: with a
@@ -557,7 +555,7 @@ class TestSolveAdmm:
         plan, trace = solve_admm(C, G1, G2, cfg)
         H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
         assert trace.inner_cap_hits == 0
-        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
+        assert prox_kkt_gap(H1, H2, rho, C / (2.0 * rho), plan.alpha) <= 1e-9
 
     @pytest.mark.parametrize("rho", [0.01, 0.1])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -575,12 +573,12 @@ class TestSolveAdmm:
         plan, trace = solve_admm(C, G1, G2, cfg)
         H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
         assert trace.inner_cap_hits == 0
-        assert prox_kkt_gap(H1, H2, rho, C.entries / (2.0 * rho), plan.alpha) <= 1e-9
+        assert prox_kkt_gap(H1, H2, rho, C / (2.0 * rho), plan.alpha) <= 1e-9
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_raises(self, bad):
         C, G1, G2 = gaussian_instance(3)
-        cost = C.entries.copy()
+        cost = C.copy()
         cost[1, 2] = bad
         with pytest.raises(NumericalFailureError):
             solve_admm(cost, G1, G2, SolverConfig(max_outer_iters=3))
@@ -599,7 +597,7 @@ class TestSolveAdmm:
         cfg = SolverConfig(rho_admm=50.0, max_outer_iters=40)
         plan, trace = solve_admm(C, G1, G2, cfg)
         expected = penalized_objective(
-            plan.alpha, C.entries, G1.entries, G2.entries, 10.0, 10.0, 10.0, 10.0
+            plan.alpha, C, G1.entries, G2.entries, 10.0, 10.0, 10.0, 10.0
         )
         assert trace.objective_per_iter[-1] == pytest.approx(expected, rel=1e-12)
 
@@ -648,18 +646,26 @@ class TestProjectSimplex:
 class TestSolveEmdExact:
     def test_two_by_two_diagonal(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pi, obj = solve_emd_exact(CostMatrix(entries=C))
+        pi, obj = solve_emd_exact(C)
         np.testing.assert_allclose(pi, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
         assert obj == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton(self):
-        pi, obj = solve_emd_exact(CostMatrix(entries=np.array([[3.5]])))
+        pi, obj = solve_emd_exact(np.array([[3.5]]))
         np.testing.assert_allclose(pi, [[1.0]])
         assert obj == pytest.approx(3.5)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_cost_raises(self, bad, n):
+        C = np.ones((2, n))
+        C[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_emd_exact(C)
+
     def test_rectangular_vs_vertex_enumeration(self):
         C = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        _, obj = solve_emd_exact(CostMatrix(entries=C))
+        _, obj = solve_emd_exact(C)
         _, expected = emd_by_vertex_enumeration(C)
         assert obj == pytest.approx(expected, abs=1e-12)
 
@@ -669,7 +675,7 @@ class TestSolveEmdExact:
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 5))
             C = rng.random((m, n))
-            pi, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+            pi, obj = solve_emd_exact(C)
             _, expected = emd_by_vertex_enumeration(C)
             assert abs(obj - expected) <= 1e-9
             np.testing.assert_allclose(pi.sum(axis=1), np.full(m, 1.0 / m), atol=1e-12)
@@ -679,7 +685,7 @@ class TestSolveEmdExact:
         # 100 x 100 is the largest square instance under the cell cap.
         for seed in range(3):
             C = np.random.default_rng(seed).random((100, 100))
-            pi, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+            pi, obj = solve_emd_exact(C)
             _, expected = emd_by_linear_program(C)
             assert abs(obj - expected) <= 1e-12
             np.testing.assert_allclose(pi.sum(axis=1), np.full(100, 0.01), atol=1e-12)
@@ -694,7 +700,7 @@ class TestSolveEmdExact:
         big = np.repeat(np.repeat(C, L // m, axis=0), L // n, axis=1)
         rows, cols = linear_sum_assignment(big)
         expected = float(big[rows, cols].sum()) / L
-        pi, obj = solve_emd_exact(CostMatrix(entries=C, cost_kind="user"))
+        pi, obj = solve_emd_exact(C)
         assert abs(obj - expected) <= 1e-12
         assert np.all(pi >= 0.0)
         np.testing.assert_allclose(pi.sum(axis=1), np.full(m, 1.0 / m), atol=1e-12)

@@ -87,14 +87,10 @@ class TestModelValidation:
             TransportMapModel(kernel1=GAUSS1, **arrays)
 
     def test_unknown_cost_kind_rejected(self):
-        with pytest.raises(InvalidModelError, match="unknown cost kind"):
-            TransportMapModel(
-                beta_star=np.ones((1, 1)),
-                source_points=np.zeros((1, 1)),
-                target_points=np.zeros((1, 1)),
-                kernel1=GAUSS1,
-                cost_kind="foo",
-            )
+        doc = model_to_dict(weights_model([1.0], [[0.0]], [0.0]))
+        doc["cost_kind"] = "foo"
+        with pytest.raises(InvalidModelError, match="unknown cost kind: 'foo'"):
+            model_from_dict(doc)
 
     def test_model_arrays_are_read_only(self):
         beta = np.array([[0.5], [0.5]])
@@ -111,15 +107,19 @@ class TestModelValidation:
         beta[0, 0] = -1.0
         assert model.beta_star[0, 0] == 0.5
 
-    def test_user_cost_requires_callbacks(self):
-        with pytest.raises(InvalidModelError):
-            TransportMapModel(
-                beta_star=np.ones((1, 1)),
-                source_points=np.zeros((1, 1)),
-                target_points=np.zeros((1, 1)),
-                kernel1=GAUSS1,
-                cost_kind="user",
-            )
+    def test_cost_grad_model_has_no_closed_form_and_no_file(self, tmp_path):
+        model = TransportMapModel(
+            beta_star=np.ones((1, 1)),
+            source_points=np.zeros((1, 1)),
+            target_points=np.zeros((1, 1)),
+            kernel1=GAUSS1,
+            cost_grad=euclidean_grad,
+        )
+        with pytest.raises(InvalidModelError, match="closed form"):
+            map_points_closed_form(model, [[0.0]])
+        with pytest.raises(InvalidModelError, match="serializable"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestConditionalWeights:
@@ -328,7 +328,7 @@ def sgd_by_loop(model, x, steps, seed, domain_radius=None):
     radius = default_domain_radius(model) if domain_radius is None else domain_radius
 
     def grad(y, yj):
-        if model.cost_kind == "sqeuclidean":
+        if model.cost_grad is None:
             return 2.0 * (y - yj)
         return np.asarray(model.cost_grad(y, yj), dtype=float)
 
@@ -369,7 +369,6 @@ class TestSgd:
             source_points=np.array([[0.0]]),
             target_points=np.array([[1.0, 2.0]]),
             kernel1=GAUSS1,
-            cost_kind="user",
             cost_grad=euclidean_grad,
         )
         y, _ = map_point_sgd(model, [0.0], steps=10_000, seed=0, domain_radius=5.0)
@@ -383,7 +382,6 @@ class TestSgd:
             source_points=np.array([[0.0]]),
             target_points=np.array([[0.0], [2.0]]),
             kernel1=DELTA,
-            cost_kind="user",
             cost_grad=euclidean_grad,
         )
         y, _ = map_point_sgd(model, [0.0], steps=10_000, seed=1, domain_radius=4.0)
@@ -401,7 +399,7 @@ class TestSgd:
         rng = np.random.default_rng(12)
         extra = {}
         if kind == "user_cost":
-            extra = dict(cost_kind="user", cost_grad=euclidean_grad)
+            extra = dict(cost_grad=euclidean_grad)
         model = TransportMapModel(
             beta_star=rng.random((6, 4)),
             source_points=rng.normal(size=(4, 2)),
