@@ -19,7 +19,7 @@ from .experiments import (
     run_sample_complexity_study,
     sample_gaussian,
 )
-from .kernels import GAUSSIAN, KRONECKER_DELTA, GramMatrix, KernelSpec, eval_kernel, gram
+from .kernels import GAUSSIAN, KRONECKER_DELTA, GramMatrix, KernelSpec, gram
 from .solvers import (
     PlanCoefficients,
     SolveTrace,

@@ -18,17 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError
+from .kernels import _as_points
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with optional integer class labels."""
+    """Feature matrix, read as a sample set by ``kernels._as_points``, and labels."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        f = np.atleast_2d(np.asarray(self.features, dtype=float))
+        f = _as_points(self.features)
         object.__setattr__(self, "features", f)
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=int)

@@ -11,15 +11,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ShapeError
+from .kernels import _point_pair
 
 
 def squared_euclidean_cost(X, Y) -> np.ndarray:
-    """Cost matrix of pairwise squared Euclidean distances."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise ShapeError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    D = cdist(X, Y, "sqeuclidean")
+    """Cost matrix of pairwise squared Euclidean distances.
+
+    The sample sets are read and checked as ``kernels.gram`` reads them.
+    """
+    D = cdist(*_point_pair(X, Y), "sqeuclidean")
     np.maximum(D, 0.0, out=D)
     return D

@@ -9,6 +9,7 @@ values in ``[0, 1]``, which is what the downstream estimators assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -26,8 +27,8 @@ class KernelSpec:
     Args:
         kind: ``"gaussian"`` or ``"delta"``.
         sigma: Bandwidth, in the same units as the input coordinates.
-            Required (and positive) for the Gaussian kernel; ignored for the
-            delta kernel.
+            Required for the Gaussian kernel, as a positive real number
+            (not a bool); ignored for the delta kernel.
     """
 
     kind: str
@@ -37,20 +38,16 @@ class KernelSpec:
         if self.kind not in (GAUSSIAN, KRONECKER_DELTA):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == GAUSSIAN:
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("Gaussian kernel requires sigma > 0")
+            s = self.sigma
+            if isinstance(s, bool) or not isinstance(s, Real) or not s > 0:
+                raise ValueError("Gaussian kernel requires a real sigma > 0")
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense gram matrix; rows index the first sample set, columns the second.
-
-    When ``symmetric`` is set (both sample sets were the same object), the
-    matrix is exactly symmetric bitwise and has a unit diagonal.
-    """
+    """Dense gram matrix; rows index the first sample set, columns the second."""
 
     entries: np.ndarray
-    symmetric: bool
 
     @property
     def shape(self):
@@ -58,47 +55,38 @@ class GramMatrix:
 
 
 def _as_points(A) -> np.ndarray:
+    """The one reader of a sample set: a float array with one point per row,
+    where a 1-d array is m points in one dimension.  Checks the shape only."""
     A = np.asarray(A, dtype=float)
     if A.ndim == 1:
         A = A[:, None]
     if A.ndim != 2:
         raise ShapeError(f"sample set must be 1-d or 2-d, got ndim={A.ndim}")
-    if not np.isfinite(A).all():
-        raise ValueError("sample set has non-finite entries")
     return A
 
 
-def eval_kernel(spec: KernelSpec, x, z) -> float:
-    """Evaluate ``k(x, z)`` for a single pair of points.
-
-    Delta-kernel equality is exact coordinate-wise floating-point equality;
-    callers needing tolerance must pre-quantize their inputs.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if x.shape != z.shape:
-        raise ShapeError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    if spec.kind == GAUSSIAN:
-        d2 = float(np.sum((x - z) ** 2))
-        return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
-    return 1.0 if np.array_equal(x, z) else 0.0
+def _point_pair(A, B):
+    """Both sample sets by ``_as_points`` (one array if ``B is A``), rejecting
+    a non-finite coordinate, an empty set and a dimension mismatch."""
+    Ap = _as_points(A)
+    Bp = Ap if B is A else _as_points(B)
+    if not (np.isfinite(Ap).all() and (Bp is Ap or np.isfinite(Bp).all())):
+        raise ValueError("sample set has non-finite entries")
+    if Ap.shape[0] == 0 or Bp.shape[0] == 0:
+        raise EmptyInputError("empty sample set")
+    if Ap.shape[1] != Bp.shape[1]:
+        raise ShapeError(f"dimension mismatch: {Ap.shape[1]} vs {Bp.shape[1]}")
+    return Ap, Bp
 
 
 def gram(spec: KernelSpec, A, B) -> GramMatrix:
     """Pairwise kernel evaluations ``entries[i, j] = k(A[i], B[j])``.
 
-    The symmetric flag is set iff ``A`` and ``B`` are the same object, in
-    which case exact bitwise symmetry and a unit diagonal are enforced.
-    Points with a non-finite coordinate raise ``ValueError``.
+    When ``A`` and ``B`` are the same object the result is exactly
+    symmetric bitwise with a unit diagonal.  Delta-kernel equality is exact
+    coordinate-wise floating-point equality.
     """
-    symmetric = A is B
-    Ap = _as_points(A)
-    Bp = Ap if symmetric else _as_points(B)
-    if Ap.shape[0] == 0 or Bp.shape[0] == 0:
-        raise EmptyInputError("empty sample set")
-    if Ap.shape[1] != Bp.shape[1]:
-        raise ShapeError(f"dimension mismatch: {Ap.shape[1]} vs {Bp.shape[1]}")
-
+    Ap, Bp = _point_pair(A, B)
     if spec.kind == GAUSSIAN:
         d2 = cdist(Ap, Bp, "sqeuclidean")
         np.maximum(d2, 0.0, out=d2)
@@ -107,17 +95,17 @@ def gram(spec: KernelSpec, A, B) -> GramMatrix:
         d2 /= 2.0 * spec.sigma**2
         K = np.exp(d2, out=d2)
     else:
-        K = np.zeros((Ap.shape[0], Bp.shape[0]))
-        for i in range(Ap.shape[0]):
-            K[i] = np.all(Bp == Ap[i], axis=1)
+        # The Hamming distance is the share of differing coordinates.
+        K = cdist(Ap, Bp, "hamming")
+        np.equal(K, 0.0, out=K)
 
-    if symmetric:
+    if Bp is Ap:
         # Mirror the upper triangle so symmetry holds bitwise regardless of
         # how the distance kernel rounded each half.
         K = np.triu(K, 1)
         K = K + K.T
         np.fill_diagonal(K, 1.0)
-    return GramMatrix(entries=K, symmetric=symmetric)
+    return GramMatrix(entries=K)
 
 
 def gram_entries(G) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
-from .errors import NumericalFailureError, ShapeError
+from .errors import EmptyInputError, NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
 _EMD_SIZE_CAP = 10_000
@@ -672,6 +672,8 @@ def solve_emd_exact(C):
     Cm = np.asarray(C, dtype=float)
     if Cm.ndim != 2:
         raise ShapeError("cost matrix must be 2-d")
+    if Cm.size == 0:
+        raise EmptyInputError(f"cost matrix of shape {Cm.shape} is empty")
     # The assignment solver takes an infinite cost for a forbidden cell.
     if not np.isfinite(Cm).all():
         raise ValueError("cost matrix has non-finite entries")

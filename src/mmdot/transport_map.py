@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataio import write_json
 from .errors import InvalidModelError, NumericalFailureError, ShapeError
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _as_points, gram
 
 _WEIGHT_SUM_FLOOR = 1e-12
 # The batch map evaluates the kernel of at most this many points at once,
@@ -35,9 +35,10 @@ _SGD_BLOCK_DRAWS = 1 << 21
 class TransportMapModel:
     """Frozen bundle needed to evaluate the barycentric map anywhere.
 
-    Checked once, here: shapes must agree, every entry must be finite and
-    ``beta_star`` nonnegative (so no conditional weight is negative).  The
-    arrays are stored as read-only copies.  The cost is squared Euclidean
+    Checked once, here: shapes must agree (the point sets are read by
+    ``kernels._as_points``), every entry must be finite and ``beta_star``
+    nonnegative (so no conditional weight is negative).  The arrays are
+    stored as read-only copies.  The cost is squared Euclidean
     unless ``cost_grad(y, y_j)``, a subgradient of ``c(., y_j)`` at ``y``,
     is given; only the SGD map serves such a model.
     """
@@ -50,8 +51,10 @@ class TransportMapModel:
 
     def __post_init__(self):
         beta = np.array(self.beta_star, dtype=float)
-        src = np.atleast_2d(np.array(self.source_points, dtype=float))
-        tgt = np.atleast_2d(np.array(self.target_points, dtype=float))
+        if beta.ndim != 2:
+            raise InvalidModelError(f"beta_star must be 2-d, got ndim={beta.ndim}")
+        src = _as_points(np.array(self.source_points, dtype=float))
+        tgt = _as_points(np.array(self.target_points, dtype=float))
         n, m = beta.shape
         if src.shape[0] != m:
             raise ShapeError(

@@ -4,8 +4,9 @@ Deliberately brute-force and structurally unrelated to the library's own
 algorithms: transportation-polytope vertex enumeration and a dense-LP
 solve for exact discrete OT, dense grid search over the joint simplex for
 the penalized objective, bisection on the threshold for the simplex
-projection, and term-by-term sums and row-by-row text for the map's
-objective and the CSV writer.
+projection, one kernel value per pair of points for the gram, and
+term-by-term sums and row-by-row text for the map's objective and the CSV
+writer.
 """
 
 import itertools
@@ -13,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
+
+from mmdot.errors import ShapeError
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +165,21 @@ def simplex_projection_by_bisection(v):
             hi = mid
     candidates = [np.maximum(v - t, 0.0) for t in (lo, hi)]
     return min(candidates, key=lambda x: abs(x.sum() - 1.0))
+
+
+def eval_kernel(spec, x, z):
+    """``k(x, z)`` of a single pair of points: the per-pair oracle of ``gram``.
+
+    Delta-kernel equality is exact coordinate-wise floating-point equality.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if x.shape != z.shape:
+        raise ShapeError(f"dimension mismatch: {x.shape} vs {z.shape}")
+    if spec.kind == "gaussian":
+        d2 = float(np.sum((x - z) ** 2))
+        return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+    return 1.0 if np.array_equal(x, z) else 0.0
 
 
 def conditional_cost(w, targets, cost_fn, y):

@@ -340,6 +340,9 @@ class TestMapRoundTrip:
         ("beta_star", "model has no 'beta_star' key"),
         ("sigma", "kernel has no 'sigma' key"),
         ("list", "model is not a JSON object"),
+        ("sigma_str", "Gaussian kernel requires a real sigma > 0"),
+        ("sigma_bool", "Gaussian kernel requires a real sigma > 0"),
+        ("beta_1d", "beta_star must be 2-d, got ndim=1"),
     ])
     def test_malformed_model_exit_one(self, workdir, capsys, case, message, method):
         model = self.make_model(workdir)
@@ -348,6 +351,12 @@ class TestMapRoundTrip:
             del doc["kernel"]["sigma"]
         elif case == "list":
             doc = [doc]
+        elif case == "sigma_str":
+            doc["kernel"]["sigma"] = "abc"
+        elif case == "sigma_bool":
+            doc["kernel"]["sigma"] = True
+        elif case == "beta_1d":
+            doc["beta_star"] = [1.0]
         else:
             del doc[case]
         model.write_text(json.dumps(doc))
@@ -417,6 +426,25 @@ class TestEmd:
         assert run(["emd", "--cost", cost, "--out", out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"mmdot emd: error: {cost}: cost matrix has non-finite entries"]
+        assert not out.exists()
+
+    def test_empty_cost_exit_one(self, workdir, capsys):
+        cost = workdir / "c.csv"
+        cost.write_text("c0,c1\n")
+        out = workdir / "emd.json"
+        assert run(["emd", "--cost", cost, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot emd: error: cost matrix of shape (0, 2) is empty"]
+        assert not out.exists()
+
+    def test_empty_samples_exit_one(self, workdir, capsys):
+        src = workdir / "x.csv"
+        src.write_text("x0,x1\n")
+        tgt = write_points(workdir / "y.csv", [[0.0, 1.0], [2.0, 3.0]])
+        out = workdir / "emd.json"
+        assert run(["emd", "--source", src, "--target", tgt, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot emd: error: empty sample set"]
         assert not out.exists()
 
     def test_size_cap_exit_one(self, workdir, capsys):

@@ -8,6 +8,7 @@ from oracles import matrix_csv_by_rows
 
 from mmdot.dataio import (
     CsvFormatError,
+    LabeledDataset,
     read_labeled_csv,
     read_matrix_csv,
     write_matrix_csv,
@@ -127,6 +128,12 @@ def test_header_only_gives_zero_rows(tmp_path, body):
         warnings.simplefilter("error")
         got = read_matrix_csv(path)
     assert got.shape == (0, 3)
+
+
+def test_one_dimensional_features_are_one_column():
+    ds = LabeledDataset(features=[0.5, 1.5, 2.5], labels=[0, 1, 1])
+    assert ds.features.shape == (3, 1)
+    assert len(ds) == 3
 
 
 def test_label_column_read_by_csv_module(tmp_path):

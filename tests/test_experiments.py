@@ -19,6 +19,7 @@ from mmdot.experiments import (
 )
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import SolverConfig, solve_simplified
+from mmdot.transport_map import map_points_closed_form
 
 
 class TestGaussianPair:
@@ -382,3 +383,19 @@ def test_fit_plan_model_admm_uses_solver_beta():
     model, plan, trace, info = fit_plan_model(X, Y, 1.0, cfg, method="admm")
     assert plan.beta is not None
     assert np.array_equal(model.beta_star, plan.beta)
+
+
+def test_fit_plan_model_reads_one_dimensional_samples_as_columns():
+    # A 1-d sample set is m points in one dimension, for the grams, the
+    # cost and the model alike.
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=6), rng.normal(size=6)
+    flat, plan, _, _ = fit_plan_model(x, y, 1.0, SolverConfig())
+    column, plan_c, _, _ = fit_plan_model(x[:, None], y[:, None], 1.0, SolverConfig())
+    assert plan.alpha.tobytes() == plan_c.alpha.tobytes()
+    assert flat.beta_star.tobytes() == column.beta_star.tobytes()
+    assert flat.source_points.shape == (6, 1)
+    queries = np.linspace(-2.0, 2.0, 9)[:, None]
+    mapped, _ = map_points_closed_form(flat, queries)
+    mapped_c, _ = map_points_closed_form(column, queries)
+    assert mapped.tobytes() == mapped_c.tobytes()

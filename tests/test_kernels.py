@@ -4,15 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from oracles import eval_kernel
+
+from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import EmptyInputError, ShapeError
-from mmdot.kernels import (
-    GAUSSIAN,
-    KRONECKER_DELTA,
-    GramMatrix,
-    KernelSpec,
-    eval_kernel,
-    gram,
-)
+from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, GramMatrix, KernelSpec, gram
 
 
 def gauss(sigma=1.0):
@@ -30,6 +26,11 @@ class TestKernelSpec:
             KernelSpec(GAUSSIAN, sigma=0.0)
         with pytest.raises(ValueError):
             KernelSpec(GAUSSIAN, sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", ["abc", "1.0", True, [1.0]])
+    def test_gaussian_sigma_must_be_real(self, sigma):
+        with pytest.raises(ValueError, match="real sigma"):
+            KernelSpec(GAUSSIAN, sigma=sigma)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +71,6 @@ class TestGram:
         A = np.array([[0.0], [1.0], [2.0]])
         G = gram(DELTA, A, A)
         assert np.array_equal(G.entries, np.eye(3))
-        assert G.symmetric
 
     def test_gaussian_singleton(self):
         G = gram(gauss(), np.array([[0.0]]), np.array([[0.0]]))
@@ -93,7 +93,13 @@ class TestGram:
                 assert G[i, j] == pytest.approx(
                     eval_kernel(gauss(0.7), A[i], B[j]), abs=1e-15
                 )
-        assert not gram(gauss(0.7), A, B).symmetric
+        # Integer points, so the delta kernel sees equal pairs, with signed
+        # zeros, which are equal coordinates.
+        A = rng.integers(-1, 2, size=(30, 2)) * rng.choice([-1.0, 1.0], size=(30, 2))
+        B = rng.integers(-1, 2, size=(20, 2)) * rng.choice([-1.0, 1.0], size=(20, 2))
+        D = gram(DELTA, A, B).entries
+        expected = [[eval_kernel(DELTA, a, b) for b in B] for a in A]
+        assert np.array_equal(D, expected)
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
     def test_gaussian_bitwise_as_negated_exponent(self, sigma):
@@ -107,8 +113,12 @@ class TestGram:
         assert np.array_equal(gram(gauss(sigma), A, A).entries[upper], sym[upper])
 
     def test_empty_sample_set(self):
-        with pytest.raises(EmptyInputError):
-            gram(gauss(), np.zeros((0, 2)), np.zeros((3, 2)))
+        empty, full = np.zeros((0, 2)), np.zeros((3, 2))
+        for pair in ((empty, full), (full, empty)):
+            with pytest.raises(EmptyInputError):
+                gram(gauss(), *pair)
+            with pytest.raises(EmptyInputError):
+                squared_euclidean_cost(*pair)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -121,10 +131,17 @@ class TestGram:
         A[side][1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             gram(gauss(), *A)
+        with pytest.raises(ValueError, match="non-finite"):
+            squared_euclidean_cost(*A)
 
     def test_one_dimensional_input_promoted(self):
-        G = gram(gauss(), np.array([0.0, 2.0]), np.array([0.0, 2.0]))
-        assert G.entries.shape == (2, 2)
+        # A 1-d array is m points in one dimension, for the gram and the
+        # cost alike.
+        a, b = np.array([0.0, 2.0]), np.array([1.0, 2.0, 4.0])
+        assert gram(gauss(), a, b).entries.shape == (2, 3)
+        assert np.array_equal(
+            squared_euclidean_cost(a, b), squared_euclidean_cost(a[:, None], b[:, None])
+        )
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,6 +175,6 @@ def test_gram_invariants_delta(n, seed):
 
 
 def test_gram_matrix_is_frozen():
-    G = GramMatrix(entries=np.eye(2), symmetric=True)
+    G = GramMatrix(entries=np.eye(2))
     with pytest.raises(AttributeError):
-        G.symmetric = False
+        G.entries = np.zeros((2, 2))

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import conditional_cost
+from oracles import conditional_cost, eval_kernel
 
 from mmdot.errors import InvalidModelError, ShapeError
-from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, eval_kernel
+from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec
 from mmdot.transport_map import (
     TransportMapModel,
     batch_weights,
