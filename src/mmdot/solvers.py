@@ -79,13 +79,16 @@ class SolveTrace:
     ``max_inner_iters`` Newton steps before reaching its optimum, and
     ``prox_newton_steps`` the Newton steps of all prox solves; both are
     always 0 on the Frank-Wolfe route.  ``support_solves`` counts the
-    Frank-Wolfe support solves and ``nnls_solves`` those of them that left
-    the exact KKT fast path for the NNLS (see ``_support_qp``); both are 0
-    on the ADMM route.  ``stop_reason`` says why the loop ended: ``"gap"``
-    (Frank-Wolfe duality gap met), ``"fixed_point"`` or ``"stall"`` (see
-    ``_frank_wolfe_simplex``), ``"residual"`` (ADMM residuals met) or
-    ``"budget"`` (``max_outer_iters`` used up); it is ``None`` on the
-    trace of a ``NumericalFailureError``.  None of these fields enters a
+    Frank-Wolfe support solves (0 on the ADMM route).  ``nnls_solves``
+    counts the calls of scipy's ``nnls``: on the Frank-Wolfe route the
+    support solves that left the exact KKT fast path (see ``_support_qp``),
+    on the ADMM route the ``beta``/``gamma`` column fits whose warm start
+    failed or that had none (see ``_nnls_columns``).  ``stop_reason`` says
+    why the loop ended: ``"gap"`` (Frank-Wolfe duality gap met),
+    ``"fixed_point"`` or ``"stall"`` (see ``_frank_wolfe_simplex``),
+    ``"residual"`` (ADMM residuals met) or ``"budget"``
+    (``max_outer_iters`` used up); it is ``None`` on the trace of a
+    ``NumericalFailureError``.  None of these fields enters a
     result payload.  ``converged`` (the stop reason is ``"gap"`` or
     ``"residual"``) and ``iters_used`` (the length of the objective trace)
     are derived.
@@ -436,18 +439,60 @@ def derive_beta(alpha, G1) -> np.ndarray:
     ``min_{beta >= 0} ||alpha - G1 beta^T / m||_F^2`` exactly.  It
     separates by column of ``alpha``: an all-zero column gets a zero row of
     ``beta``, and every other column is one Lawson-Hanson active-set NNLS
-    solve against ``G1 / m``.  Exact fitting matters on the ill-conditioned
-    grams of well-spread samples, where an iterative fit can leave a
-    consensus residual far above that of ``beta = 0``.
+    solve against ``G1 / m`` (``_nnls_columns`` without a guess).  Exact
+    fitting matters on the ill-conditioned grams of well-spread samples,
+    where an iterative fit can leave a consensus residual far above that of
+    ``beta = 0``.
     """
     alpha = np.asarray(alpha, dtype=float)
     G1 = gram_entries(G1)
-    m, n = alpha.shape
-    A = G1 / m
-    beta = np.zeros((n, m))
-    for j in np.flatnonzero(np.any(alpha != 0.0, axis=0)):
-        beta[j] = nnls(A, alpha[:, j])[0]
-    return beta
+    return _nnls_columns(G1 / alpha.shape[0], alpha)[0]
+
+
+def _nnls_columns(A, B, guess=None, cache=None):
+    """Column-wise NNLS: row ``j`` of ``X`` is ``argmin_{x >= 0} ||B[:, j] - A x||``.
+
+    Returns ``(X, solves)``.  An all-zero column gets a zero row.  Given a
+    boolean ``guess`` shaped like ``X`` (a passive set per column, such as
+    the previous fit's ``X > 0``), each column first takes the
+    least-squares fit on its set ``P``, ``x_P = pinv(A[:, P]) b``, with the
+    pseudo-inverse taken by SVD (``A^T A`` would square the condition of an
+    ill-conditioned gram) and kept in the dict ``cache``, keyed by ``P``,
+    for later calls with the same ``A``.  That fit is the NNLS optimum when
+    it meets the KKT conditions: ``x_P > 0`` and ``w = A^T (b - A x) <= 0``
+    off ``P`` (``w`` vanishes on ``P`` by construction), the latter up to
+    the rounding bound ``(p + k + 1) eps |A|^T (|b| + |A| |x|)`` of the
+    computed ``w`` (an active-set warm start, Bro & De Jong, J. Chemometrics
+    1997, with the KKT check of Van Benthem & Keenan, J. Chemometrics
+    2004).  Every column that fails the check, and every column when no
+    guess is given, is one Lawson-Hanson active-set solve of scipy's
+    ``nnls``; ``solves`` counts them.
+    """
+    p, k = A.shape
+    X = np.zeros((B.shape[1], k))
+    todo = np.any(B != 0.0, axis=0)
+    if guess is not None:
+        pinvs = []
+        for P in guess:
+            key = P.tobytes()
+            Q = cache.get(key)
+            if Q is None:
+                Q = cache[key] = np.linalg.pinv(A[:, P])
+            pinvs.append(Q)
+        # One pseudo-inverse row per passive cell, in the row-major order of
+        # the cells, dotted with its column of B.
+        rows, cells = np.nonzero(guess)
+        X[rows, cells] = np.einsum("rp,rp->r", np.concatenate(pinvs), B.T[rows])
+        absA = np.abs(A)
+        W = (B - A @ X.T).T @ A
+        bound = (p + k + 1) * np.finfo(float).eps * (
+            (np.abs(B) + absA @ np.abs(X.T)).T @ absA
+        )
+        kkt = np.where(guess, X > 0.0, W <= bound).all(axis=1)
+        todo &= ~kkt
+    for j in np.flatnonzero(todo):
+        X[j] = nnls(A, B[:, j])[0]
+    return X, int(np.count_nonzero(todo))
 
 
 def _project_simplex(v):
@@ -568,12 +613,18 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     at the previous cycle's dual point, at most ``cfg.max_inner_iters``
     Newton steps; see ``_prox_simplex``), fits ``beta`` and ``gamma``
     exactly to the consensus relations ``alpha = G1 beta^T / m`` and
-    ``alpha = gamma G2 / n`` with the column-wise NNLS of ``derive_beta``,
-    then takes the plain dual ascent updates.  Stops when both primal
-    residuals fall below ``cfg.tol_residual``; running out of budget
-    returns ``converged=False`` rather than raising.  The trace's
-    ``inner_cap_hits`` counts the cycles whose prox solve ran out of steps
-    and ``prox_newton_steps`` the Newton steps of all of them.
+    ``alpha = gamma G2 / n`` by column-wise NNLS, then takes the plain dual
+    ascent updates.  The NNLS of the first cycle is that of ``derive_beta``.
+    Later cycles start each column from its passive set of the previous
+    cycle, with pseudo-inverses cached for the whole solve, and keep that
+    fit when it meets the NNLS optimality conditions; a column that fails
+    them goes to scipy's ``nnls`` as in the first cycle (see
+    ``_nnls_columns``).  Stops when both primal residuals fall below
+    ``cfg.tol_residual``; running out of budget returns ``converged=False``
+    rather than raising.  The trace's ``inner_cap_hits`` counts the cycles
+    whose prox solve ran out of steps, ``prox_newton_steps`` the Newton
+    steps of all of them and ``nnls_solves`` the column fits that went to
+    scipy's ``nnls``.
     """
     Cm = np.asarray(C, dtype=float)
     G1 = gram_entries(G1)
@@ -589,28 +640,34 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         for w, V in map(np.linalg.eigh, (H1, H2))
     ))
 
-    beta = np.zeros((n, m))
-    gamma = np.zeros((m, n))
+    A1 = G1 / m
+    A2 = G2 / n
+    # Passive sets of the last beta/gamma fit and the pseudo-inverses of
+    # their gram columns, for the warm-started NNLS of the next cycle.
+    guess1 = guess2 = None
+    pinvs1 = {}
+    pinvs2 = {}
+    # The consensus products G1 beta^T / m and gamma G2 / n, kept for the
+    # next cycle's prox center.
+    F1 = F2 = np.zeros((m, n))
     D1 = np.zeros((m, n))
     D2 = np.zeros((m, n))
     y = np.zeros(m + n)
 
     objs = []
     residuals = []
-    cap_hits = newton_steps = 0
+    cap_hits = newton_steps = nnls_solves = 0
     stop = "budget"
 
     def failure(what):
         trace = SolveTrace(
             np.array(objs), np.array(residuals), cap_hits,
-            prox_newton_steps=newton_steps,
+            nnls_solves=nnls_solves, prox_newton_steps=newton_steps,
         )
         return NumericalFailureError(f"{what} in consensus iteration", trace=trace)
 
     for _ in range(cfg.max_outer_iters):
-        center = 0.5 * (
-            D1 + D2 + Cm / rho - (gamma @ G2) / n - (G1 @ beta.T) / m
-        )
+        center = 0.5 * (D1 + D2 + Cm / rho - F2 - F1)
         if not np.all(np.isfinite(center)):
             raise failure("non-finite prox center")
         alpha, y, steps, capped = _prox_simplex(
@@ -620,12 +677,17 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         cap_hits += capped
 
         # beta update: min_{beta>=0} ||alpha + D1 - G1 beta^T / m||^2
-        beta = derive_beta(alpha + D1, G1)
+        beta, solves1 = _nnls_columns(A1, alpha + D1, guess1, pinvs1)
         # gamma update: min_{gamma>=0} ||(alpha + D2)^T - G2 gamma^T / n||^2
-        gamma = derive_beta((alpha + D2).T, G2)
+        gamma, solves2 = _nnls_columns(A2, (alpha + D2).T, guess2, pinvs2)
+        nnls_solves += solves1 + solves2
+        guess1 = beta > 0.0
+        guess2 = gamma > 0.0
 
-        P1 = alpha - (G1 @ beta.T) / m
-        P2 = alpha - (gamma @ G2) / n
+        F1 = (G1 @ beta.T) / m
+        F2 = (gamma @ G2) / n
+        P1 = alpha - F1
+        P2 = alpha - F2
         D1 = D1 + P1
         D2 = D2 + P2
 
@@ -646,6 +708,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         objective_per_iter=np.array(objs),
         gap_or_residual_per_iter=np.array(residuals),
         inner_cap_hits=cap_hits,
+        nnls_solves=nnls_solves,
         prox_newton_steps=newton_steps,
         stop_reason=stop,
     )

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, nnls
 
 from oracles import (
     emd_by_linear_program,
@@ -13,6 +13,7 @@ from oracles import (
     simplex_projection_by_bisection,
 )
 
+from mmdot import solvers
 from mmdot.cli import main as cli_main
 from mmdot.dataio import write_matrix_csv
 from mmdot.embeddings import squared_euclidean_cost
@@ -22,6 +23,7 @@ from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
     _forest_cycle,
+    _nnls_columns,
     _penalty_matrices,
     _point_classes,
     _project_simplex,
@@ -609,6 +611,137 @@ class TestSolveAdmm:
         assert np.array_equal(p1.alpha, p2.alpha)
         assert np.array_equal(p1.beta, p2.beta)
         assert np.array_equal(p1.gamma, p2.gamma)
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    """Entry-wise agreement to ``rel`` of the largest magnitude of ``expected``."""
+    scale = float(np.abs(expected).max())
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * scale)
+
+
+class TestNnlsColumns:
+    """The column-wise NNLS of the beta/gamma fits against scipy column by column.
+
+    ``A`` is a gram of the domain-adaptation shape (two 12-point blobs,
+    sigma 0.5) divided by its size, ill-conditioned as in
+    ``domain_adapt_admm``; ``B`` is a 40-cycle ADMM plan with its column 3
+    zeroed.
+    """
+
+    @staticmethod
+    def case(side):
+        C, G1, G2 = blob_instance(0)
+        plan, _ = solve_admm(C, G1, G2, SolverConfig(rho_admm=200.0, max_outer_iters=40))
+        if side == "beta":
+            A, B = G1.entries / 24.0, plan.alpha.copy()
+        else:
+            A, B = G2.entries / 24.0, plan.alpha.T.copy()
+        B[:, 3] = 0.0
+        ref = np.array([nnls(A, b)[0] for b in B.T])
+        assert np.linalg.cond(A) > 1e6
+        return A, B, ref, ref > 0.0
+
+    @pytest.mark.parametrize("side", ["beta", "gamma"])
+    def test_cold_fit_is_scipy_column_by_column(self, side):
+        A, B, ref, _ = self.case(side)
+        X, solves = _nnls_columns(A, B)
+        assert np.array_equal(X, ref)
+        assert solves == B.shape[1] - 1
+
+    @pytest.mark.parametrize("side", ["beta", "gamma"])
+    def test_true_passive_set_needs_no_fallback(self, side):
+        A, B, ref, T = self.case(side)
+        cache = {}
+        X, solves = _nnls_columns(A, B, T, cache)
+        assert solves == 0
+        assert_close_rel(X, ref)
+        assert len(cache) == len({row.tobytes() for row in T})
+        X2, solves = _nnls_columns(A, B, T, cache)
+        assert solves == 0 and np.array_equal(X2, X)
+
+    @pytest.mark.parametrize("guess", ["empty", "subset", "superset", "all", "disjoint"])
+    @pytest.mark.parametrize("side", ["beta", "gamma"])
+    def test_wrong_passive_set_falls_back(self, side, guess):
+        A, B, ref, T = self.case(side)
+        rows = np.arange(T.shape[0])
+        if guess == "empty":
+            G = np.zeros_like(T)
+        elif guess == "subset":
+            G = T.copy()
+            G[rows, np.argmax(T, axis=1)] = False
+        elif guess == "superset":
+            # The most clearly inactive cell: adding it makes its
+            # least-squares weight negative.
+            W = (B - A @ ref.T).T @ A
+            G = T.copy()
+            G[rows, np.argmin(np.where(T, np.inf, W), axis=1)] = True
+        elif guess == "all":
+            G = np.ones_like(T)
+        else:
+            G = ~T
+        X, solves = _nnls_columns(A, B, G, {})
+        assert solves == B.shape[1] - 1
+        assert_close_rel(X, ref)
+
+    def test_zero_column_gives_zero_row(self):
+        A, B, _, T = self.case("beta")
+        for G in (T, np.ones_like(T), None):
+            X, _ = _nnls_columns(A, B, G, {})
+            assert np.array_equal(X[3], np.zeros(A.shape[1]))
+
+
+class TestAdmmWarmFit:
+    """The warm-started beta/gamma fit over many ADMM cycles."""
+
+    @pytest.mark.parametrize(
+        "seed,cycles",
+        list(enumerate([1, 55, 125, 1, 100, 58, 192, 36, 1, 453])),
+    )
+    def test_criterion_4_cycle_counts(self, seed, cycles):
+        C, G1, G2 = gaussian_instance(seed)
+        cfg = SolverConfig(
+            rho_admm=200.0, max_outer_iters=500, max_inner_iters=300,
+            tol_residual=1e-4, tol_gap=1e-9,
+        )
+        _, trace = solve_admm(C, G1, G2, cfg)
+        assert trace.converged and trace.iters_used == cycles
+        assert trace.inner_cap_hits == 0
+
+    def test_matches_fits_forced_through_scipy(self, monkeypatch):
+        C, G1, G2 = blob_instance(1)
+        cfg = SolverConfig(
+            rho_admm=200.0, max_outer_iters=40, max_inner_iters=300,
+            tol_residual=1e-300,
+        )
+        warm, warm_trace = solve_admm(C, G1, G2, cfg)
+        cold_fit = solvers._nnls_columns
+        monkeypatch.setattr(
+            solvers, "_nnls_columns", lambda A, B, guess, cache: cold_fit(A, B)
+        )
+        cold, cold_trace = solve_admm(C, G1, G2, cfg)
+        assert warm_trace.iters_used == cold_trace.iters_used == 40
+        assert cold_trace.nnls_solves == 40 * 2 * 24
+        assert warm_trace.nnls_solves < cold_trace.nnls_solves
+        for name in ("alpha", "beta", "gamma"):
+            assert_close_rel(getattr(warm, name), getattr(cold, name))
+        np.testing.assert_allclose(
+            warm_trace.gap_or_residual_per_iter,
+            cold_trace.gap_or_residual_per_iter, rtol=1e-9,
+        )
+
+    def test_nnls_solves_count_scipy_fits(self):
+        # The first cycle fits every non-zero column with scipy; later
+        # cycles send only the columns whose warm start fails.
+        C, G1, G2 = blob_instance(0)
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=1)
+        plan, first = solve_admm(C, G1, G2, cfg)
+        nonzero = np.count_nonzero(plan.alpha.any(axis=0)) + np.count_nonzero(
+            plan.alpha.any(axis=1)
+        )
+        assert first.nnls_solves == nonzero
+        cfg = SolverConfig(rho_admm=200.0, max_outer_iters=40, tol_residual=1e-300)
+        _, trace = solve_admm(C, G1, G2, cfg)
+        assert nonzero <= trace.nnls_solves < 40 * 2 * 24
 
 
 class TestProjectSimplex:
