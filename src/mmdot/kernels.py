@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import EmptyInputError, ShapeError
 
@@ -82,28 +82,28 @@ def _point_pair(A, B):
 def gram(spec: KernelSpec, A, B) -> GramMatrix:
     """Pairwise kernel evaluations ``entries[i, j] = k(A[i], B[j])``.
 
-    When ``A`` and ``B`` are the same object the result is exactly
-    symmetric bitwise with a unit diagonal.  Delta-kernel equality is exact
-    coordinate-wise floating-point equality.
+    When ``A`` and ``B`` are the same object only the pairs ``i < j`` are
+    evaluated (scipy's ``pdist``, whose entries equal ``cdist``'s bit for
+    bit), which halves the distance and ``exp`` work; they are mirrored, so
+    the result is exactly symmetric bitwise with a unit diagonal.
+    Delta-kernel equality is exact coordinate-wise floating-point equality.
     """
     Ap, Bp = _point_pair(A, B)
+    metric = "sqeuclidean" if spec.kind == GAUSSIAN else "hamming"
+    same = Bp is Ap
+    D = pdist(Ap, metric) if same else cdist(Ap, Bp, metric)
     if spec.kind == GAUSSIAN:
-        d2 = cdist(Ap, Bp, "sqeuclidean")
-        np.maximum(d2, 0.0, out=d2)
-        # In place, with the rounding of np.exp(-d2 / (2 sigma^2)).
-        np.negative(d2, out=d2)
-        d2 /= 2.0 * spec.sigma**2
-        K = np.exp(d2, out=d2)
+        np.maximum(D, 0.0, out=D)
+        # In place, with the rounding of np.exp(-D / (2 sigma^2)).
+        np.negative(D, out=D)
+        D /= 2.0 * spec.sigma**2
+        K = np.exp(D, out=D)
     else:
         # The Hamming distance is the share of differing coordinates.
-        K = cdist(Ap, Bp, "hamming")
-        np.equal(K, 0.0, out=K)
+        K = np.equal(D, 0.0, out=D)
 
-    if Bp is Ap:
-        # Mirror the upper triangle so symmetry holds bitwise regardless of
-        # how the distance kernel rounded each half.
-        K = np.triu(K, 1)
-        K = K + K.T
+    if same:
+        K = squareform(K, checks=False)
         np.fill_diagonal(K, 1.0)
     return GramMatrix(entries=K)
 

@@ -19,7 +19,7 @@ Three routes are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +30,9 @@ from .errors import EmptyInputError, NumericalFailureError, ShapeError
 from .kernels import gram_entries
 
 _EMD_SIZE_CAP = 10_000
+# Cells per block of the Frank-Wolfe gradient argmin (``_lmo``): 256 KB of
+# float64, so a block stays in a core's L2 cache while it is summed and read.
+_LMO_BLOCK_CELLS = 32_768
 # Sufficient-increase fraction of the Armijo line search in the ADMM prox.
 _ARMIJO = 1e-4
 
@@ -88,10 +91,11 @@ class SolveTrace:
     ``"fixed_point"`` or ``"stall"`` (see ``_frank_wolfe_simplex``),
     ``"residual"`` (ADMM residuals met) or ``"budget"``
     (``max_outer_iters`` used up); it is ``None`` on the trace of a
-    ``NumericalFailureError``.  None of these fields enters a
-    result payload.  ``converged`` (the stop reason is ``"gap"`` or
-    ``"residual"``) and ``iters_used`` (the length of the objective trace)
-    are derived.
+    ``NumericalFailureError``.  ``support_sizes`` holds the number of
+    support cells of the iterate at each Frank-Wolfe iteration (empty on
+    the ADMM route).  None of these fields enters a result payload.
+    ``converged`` (the stop reason is ``"gap"`` or ``"residual"``) and
+    ``iters_used`` (the length of the objective trace) are derived.
     """
 
     objective_per_iter: np.ndarray
@@ -101,6 +105,7 @@ class SolveTrace:
     nnls_solves: int = 0
     prox_newton_steps: int = 0
     stop_reason: str | None = None
+    support_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def converged(self) -> bool:
@@ -227,6 +232,33 @@ def _forest_cycle(support, s, n, cls1, cls2):
     return path
 
 
+def _lmo(L, p, q, buf):
+    """Flat index and value of ``argmin (L + p[:, None]) + q``, one block at a time.
+
+    The gradient is summed into ``buf`` (rows x n, reused across calls) a
+    block of rows at a time and searched there, so no m x n gradient is
+    allocated and each block is read while it is still in cache.  The
+    result is ``np.argmin`` of the dense sum, bit for bit: the first
+    minimum in row-major order, or the first NaN if there is one.
+    """
+    m, n = L.shape
+    rows = buf.shape[0]
+    s, best = 0, None
+    for r in range(0, m, rows):
+        blk = buf[: min(rows, m - r)]
+        np.add(L[r : r + rows], p[r : r + rows, None], out=blk)
+        blk += q
+        k = int(np.argmin(blk))
+        v = blk.flat[k]
+        # Moves only on a strictly smaller value, or on a NaN, which ends
+        # the search as it ends np.argmin's.
+        if best is None or not v >= best:
+            s, best = r * n + k, v
+            if np.isnan(v):
+                break
+    return s, float(best)
+
+
 def _frank_wolfe_simplex(L, G1, G2, cfg):
     """Fully-corrective conditional gradient over the joint probability simplex.
 
@@ -240,9 +272,10 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     where ``lam1, lam2, nu1, nu2`` are ``cfg.lambda1, cfg.lambda2, cfg.nu1,
     cfg.nu2`` (Holloway's fully-corrective Frank-Wolfe; Lacoste-Julien &
     Jaggi, NeurIPS 2015).  It starts at the vertex ``argmin L``.  Each outer
-    iteration forms the full gradient and stops once the duality gap is at
-    most ``cfg.tol_gap``; otherwise it adds the best vertex ``s`` to the
-    support and solves the objective exactly on the support
+    iteration finds the gradient's smallest entry (the linear minimization
+    oracle) and stops once the duality gap is at most ``cfg.tol_gap``;
+    otherwise it adds the best vertex ``s`` to the support and solves the
+    objective exactly on the support
     (``_support_qp``: the equality-constrained KKT point when every support
     weight is positive there, one NNLS otherwise).  With
     ``H = lam G + nu G*G`` that support problem is ``min a^T Q a + c^T a``
@@ -263,12 +296,14 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     The iterate is the support itself: cell indices ``idx`` (rows ``I``,
     columns ``J``) and weights ``a``; the dense plan is built once, at
-    return.  The only O(mn) work of an outer iteration is forming the
-    gradient ``g = L + p[:, None] + q``, with ``p = 2 H1 u1`` and
-    ``q = 2 H2 u2``, and its ``argmin``.  ``H1 u1`` is
-    ``H1[:, I] @ a - H1 1/m``, O(m k) for a support of ``k`` cells; the
-    objective, the gap and the FW step's curvature are read off the support
-    and these vectors.
+    return.  The only O(mn) work of an outer iteration is the ``argmin`` of
+    the gradient ``g = L + p[:, None] + q``, with ``p = 2 H1 u1`` and
+    ``q = 2 H2 u2``.  No m x n gradient is allocated: ``_lmo`` sums and
+    searches it a cache-sized block of rows at a time in one buffer kept
+    for the solve, and the gap reads ``g`` on the support cells from the
+    same sums.  ``H1 u1`` is ``H1[:, I] @ a - H1 1/m``, O(m k) for a
+    support of ``k`` cells; the objective, the gap and the FW step's
+    curvature are read off the support and these vectors.
 
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
@@ -292,14 +327,19 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     Lf = L.ravel()
     cls1, cls2 = _point_classes(G1), _point_classes(G2)
 
+    # The gradient argmin's block of rows (see _lmo).
+    buf = np.empty((min(m, max(1, _LMO_BLOCK_CELLS // n)), n))
+
     objs = []
     gaps = []
+    sizes = []
     solves = fallbacks = 0
 
     def failure(what):
         trace = SolveTrace(
             np.array(objs), np.array(gaps),
             support_solves=solves, nnls_solves=fallbacks,
+            support_sizes=np.array(sizes, dtype=int),
         )
         return NumericalFailureError(what, trace=trace)
 
@@ -313,15 +353,15 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         I, J = np.divmod(idx, n)
         H1u = H1[:, I] @ a - w1
         H2u = H2[:, J] @ a - w2
-        g = L + (2.0 * H1u)[:, None] + 2.0 * H2u
+        p = 2.0 * H1u
+        q = 2.0 * H2u
         obj = (
             float(Lf[idx] @ a)
             + (float(a @ H1u[I]) - float(H1u.sum()) / m)
             + (float(a @ H2u[J]) - float(H2u.sum()) / n)
         )
-        gf = g.ravel()
-        s = int(np.argmin(gf))
-        if not (np.isfinite(obj) and np.isfinite(gf[s])):
+        s, g_s = _lmo(L, p, q, buf)
+        if not (np.isfinite(obj) and np.isfinite(g_s)):
             raise failure("non-finite objective or gradient")
         if objs:
             # Every step is an exact minimization, so the true objective is
@@ -331,9 +371,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
             if obj > objs[-1] + 1e-8 * (1.0 + abs(objs[-1])):
                 raise failure(f"objective increased from {objs[-1]!r} to {obj!r}")
             obj = min(obj, objs[-1])
-        fw_gap = float(gf[idx] @ a) - float(gf[s])
+        # The gradient on the support, summed as in _lmo.
+        fw_gap = float(((Lf[idx] + p[I]) + q[J]) @ a) - g_s
         objs.append(obj)
         gaps.append(fw_gap)
+        sizes.append(idx.size)
         stop = (
             "gap" if fw_gap <= cfg.tol_gap
             else "fixed_point" if s in idx
@@ -392,6 +434,7 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         support_solves=solves,
         nnls_solves=fallbacks,
         stop_reason=stop,
+        support_sizes=np.array(sizes, dtype=int),
     )
     return alpha, trace
 

@@ -18,6 +18,14 @@ def gauss(sigma=1.0):
 DELTA = KernelSpec(KRONECKER_DELTA)
 
 
+def mirrored(K):
+    """``K``'s upper triangle mirrored below it, with a unit diagonal."""
+    U = np.triu(K, 1)
+    S = U + U.T
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
 class TestKernelSpec:
     def test_gaussian_requires_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -108,9 +116,26 @@ class TestGram:
         B = rng.normal(size=(5, 3)) * 4.0
         expected = np.exp(-cdist(A, B, "sqeuclidean") / (2.0 * sigma**2))
         assert gram(gauss(sigma), A, B).entries.tobytes() == expected.tobytes()
-        sym = np.exp(-cdist(A, A, "sqeuclidean") / (2.0 * sigma**2))
-        upper = np.triu_indices(A.shape[0], 1)
-        assert np.array_equal(gram(gauss(sigma), A, A).entries[upper], sym[upper])
+        for P in (A, rng.normal(size=(61, 3))):
+            sym = np.exp(-cdist(P, P, "sqeuclidean") / (2.0 * sigma**2))
+            assert gram(gauss(sigma), P, P).entries.tobytes() == mirrored(sym).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 20])
+    @pytest.mark.parametrize("m", [1, 2, 9, 60])
+    def test_same_set_gram_is_mirrored_cdist(self, m, d):
+        # A same-set gram, evaluated once per pair through pdist, is the
+        # upper triangle of the cdist one mirrored, with a unit diagonal, bit
+        # for bit; with a duplicate point, and for the delta kernel on signed
+        # zeros.
+        rng = np.random.default_rng(m)
+        A = rng.normal(size=(m, d))
+        A[m // 2] = A[0]
+        for sigma in (0.3, 1.0, 7.0):
+            sym = np.exp(-cdist(A, A, "sqeuclidean") / (2.0 * sigma**2))
+            assert gram(gauss(sigma), A, A).entries.tobytes() == mirrored(sym).tobytes()
+        P = rng.integers(0, 2, size=(m, d)) * rng.choice([-1.0, 1.0], size=(m, d))
+        same = (cdist(P, P, "hamming") == 0.0).astype(float)
+        assert gram(DELTA, P, P).entries.tobytes() == mirrored(same).tobytes()
 
     def test_empty_sample_set(self):
         empty, full = np.zeros((0, 2)), np.zeros((3, 2))

@@ -23,6 +23,7 @@ from mmdot.kernels import GAUSSIAN, KernelSpec, gram
 from mmdot.solvers import (
     SolverConfig,
     _forest_cycle,
+    _lmo,
     _nnls_columns,
     _penalty_matrices,
     _point_classes,
@@ -77,6 +78,22 @@ def blob_instance(seed, per_class=12, sigma=0.5):
 
     X, Y = blobs((0.0, 0.0)), blobs((1.5, -1.0))
     kernel = KernelSpec(GAUSSIAN, sigma=sigma)
+    return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+
+
+def assert_support_sizes(plan, trace):
+    """The trace's support size per iteration ends at the returned plan's."""
+    assert trace.support_sizes.size == trace.iters_used
+    assert trace.support_sizes[-1] == np.count_nonzero(plan.alpha)
+
+
+def slope_study_instance(seed, m):
+    """One solve of the sample-complexity study: d = 5, sigma = 5, m points."""
+    pair = make_gaussian_pair(5, seed=seed)
+    rng = np.random.default_rng([seed, m])
+    X = sample_gaussian(pair.mean1, pair.cov1, m, rng)
+    Y = sample_gaussian(pair.mean2, pair.cov2, m, rng)
+    kernel = KernelSpec(GAUSSIAN, sigma=5.0)
     return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
 
 
@@ -195,6 +212,7 @@ class TestSolveSimplified:
         assert trace.gap_or_residual_per_iter[-1] == pytest.approx(
             float(np.sum(g * a) - g.min()), rel=1e-9, abs=1e-12
         )
+        assert_support_sizes(plan, trace)
 
     @pytest.mark.parametrize(
         "case", [f"gauss{s}" for s in range(20)]
@@ -277,6 +295,7 @@ class TestSolveSimplified:
         )
         assert np.count_nonzero(plan.alpha) <= classes - 1
         assert trace.stop_reason in ("fixed_point", "stall")
+        assert_support_sizes(plan, trace)
         assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
 
     def test_indefinite_support_qp_raises_with_trace(self):
@@ -294,15 +313,9 @@ class TestSolveSimplified:
     def test_fixed_point_stops_before_budget(self):
         # Slope-study-shaped instance with an unreachable gap target: the
         # loop stops at its fixed point instead of running the budget out.
-        pair = make_gaussian_pair(5, seed=0)
-        rng = np.random.default_rng([0, 50])
-        X = sample_gaussian(pair.mean1, pair.cov1, 50, rng)
-        Y = sample_gaussian(pair.mean2, pair.cov2, 50, rng)
-        kernel = KernelSpec(GAUSSIAN, sigma=5.0)
+        C, G1, G2 = slope_study_instance(seed=0, m=50)
         cfg = SolverConfig(tol_gap=1e-300, max_outer_iters=1200)
-        _, trace = solve_simplified(
-            squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y), cfg
-        )
+        _, trace = solve_simplified(C, G1, G2, cfg)
         assert trace.iters_used < 1200
         assert trace.converged is False
         assert trace.stop_reason == "fixed_point"
@@ -328,6 +341,7 @@ class TestSolveSimplified:
         assert trace.iters_used <= 10
         assert trace.gap_or_residual_per_iter[-1] > SolverConfig().tol_gap
         assert abs(plan.alpha.sum() - 1.0) <= 1e-12
+        assert_support_sizes(plan, trace)
 
     def test_stop_reasons_gap_and_budget(self):
         C, G1, G2 = gaussian_instance(4, m=6, n=6)
@@ -377,6 +391,98 @@ class TestSolveSimplified:
             solve_simplified(
                 np.ones((2, 3)), np.eye(3), np.eye(3), SolverConfig()
             )
+
+
+class TestLmo:
+    """The blocked gradient argmin against the dense one."""
+
+    @staticmethod
+    def check(L, p, q, rows):
+        g = L + p[:, None] + q
+        s, value = _lmo(L, p, q, np.empty((rows, L.shape[1])))
+        assert s == int(np.argmin(g))
+        assert np.array_equal(value, g.flat[s], equal_nan=True)
+        return value
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 3, 7, 40])
+    def test_random_matches_dense(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        m, n = 40, 23
+        self.check(rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n), rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 3, 8, 40])
+    def test_ties_go_to_first_in_row_major_order(self, seed, rows):
+        # Small integers tie often; the minimum is planted in blocks 1, 3
+        # and 4 of 8 rows, so equal minima sit in different blocks.
+        rng = np.random.default_rng(seed)
+        m, n = 40, 6
+        L = rng.integers(0, 3, size=(m, n)).astype(float)
+        p = rng.integers(0, 2, size=m).astype(float)
+        q = rng.integers(0, 2, size=n).astype(float)
+        for i, j in ((9, 4), (27, 0), (35, 2)):
+            L[i, j] = -5.0 - p[i] - q[j]
+        self.check(L, p, q, rows)
+
+    @pytest.mark.parametrize("rows", [1, 8, 40])
+    @pytest.mark.parametrize("row", [0, 21, 39])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_reported(self, bad, row, rows):
+        # First, middle and last block of 8 rows; a -inf before a NaN
+        # still reports the NaN, as the dense argmin does.
+        rng = np.random.default_rng(row)
+        L, p, q = rng.normal(size=(40, 9)), rng.normal(size=40), rng.normal(size=9)
+        L[row, 5] = bad
+        assert not np.isfinite(self.check(L, p, q, rows))
+        L[39 - row, 1] = -np.inf
+        assert not np.isfinite(self.check(L, p, q, rows))
+
+    def test_rows_wider_than_block_take_one_row_each(self):
+        rng = np.random.default_rng(5)
+        m, n = 3, solvers._LMO_BLOCK_CELLS + 17
+        rows = max(1, solvers._LMO_BLOCK_CELLS // n)
+        assert rows == 1
+        self.check(rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n), rows)
+
+
+class TestLmoBlockSize:
+    """Plans and traces do not depend on how the gradient argmin is blocked."""
+
+    @staticmethod
+    def solves(monkeypatch, C, G1, G2, cfg):
+        m, n = np.shape(C)
+        out = []
+        for cells in (1, 7 * n, m * n, solvers._LMO_BLOCK_CELLS):
+            monkeypatch.setattr(solvers, "_LMO_BLOCK_CELLS", cells)
+            out.append(solve_simplified(C, G1, G2, cfg))
+        return out
+
+    def assert_identical(self, runs):
+        (p0, t0), rest = runs[0], runs[1:]
+        for plan, trace in rest:
+            assert plan.alpha.tobytes() == p0.alpha.tobytes()
+            for name in ("objective_per_iter", "gap_or_residual_per_iter", "support_sizes"):
+                assert getattr(trace, name).tobytes() == getattr(t0, name).tobytes()
+            assert (trace.stop_reason, trace.support_solves, trace.nnls_solves) == (
+                t0.stop_reason, t0.support_solves, t0.nnls_solves
+            )
+
+    @pytest.mark.parametrize(
+        "case", [f"gauss{s}" for s in (3, 5, 6, 13, 15, 16, 18)]
+        + [f"repeated{s}" for s in (0, 7, 45, 129, 240)],
+    )
+    def test_small_instances(self, monkeypatch, case):
+        C, G1, G2 = named_instance(case)
+        self.assert_identical(self.solves(monkeypatch, C, G1, G2, SolverConfig(tol_gap=1e-300)))
+
+    def test_slope_study_reference_shape(self, monkeypatch):
+        # The benchmark's 400-point reference solve (m_ref = 8 x 50).
+        C, G1, G2 = slope_study_instance(seed=901, m=400)
+        cfg = SolverConfig(max_outer_iters=1200, tol_gap=1e-300)
+        runs = self.solves(monkeypatch, C, G1, G2, cfg)
+        assert runs[0][1].iters_used > 5
+        self.assert_identical(runs)
 
 
 class TestSupportQp:
@@ -606,8 +712,9 @@ class TestSolveAdmm:
     def test_determinism_bit_identical(self):
         C, G1, G2 = gaussian_instance(5)
         cfg = SolverConfig(rho_admm=50.0, max_outer_iters=40)
-        p1, _ = solve_admm(C, G1, G2, cfg)
+        p1, t1 = solve_admm(C, G1, G2, cfg)
         p2, _ = solve_admm(C, G1, G2, cfg)
+        assert t1.support_sizes.size == 0
         assert np.array_equal(p1.alpha, p2.alpha)
         assert np.array_equal(p1.beta, p2.beta)
         assert np.array_equal(p1.gamma, p2.gamma)
