@@ -2,16 +2,19 @@
 
 Subcommands wrap the library with file-based inputs and outputs: ``solve``,
 ``map``, ``emd``, ``eval-gaussian``, ``sample-complexity``, ``domain-adapt``.
-Every invocation that writes a result also writes a run manifest alongside
-it (``<out>.manifest.json``) with the resolved parameters, seed, library
+Each ``cmd_*`` writes its result and returns its exit code and input paths;
+``main`` times it and then writes the run manifest alongside the result
+(``<out>.manifest.json``) with the resolved parameters, seed, library
 version, input digests, and wall-clock runtime, so any result can be
 replayed.  All inputs are local files or flags; no network, no environment
 variables.
 
-Exit codes: 0 success, 1 input/usage error, 2 a solve (any solve of a
-study, including the sample-complexity reference) did not converge, or an
-experiment record failed (results are still written), or a solve failed
-numerically (nothing written).
+Exit codes: 0 success; 1 input/usage error; 2 a solve failed numerically
+(nothing written), or the result is written but did not converge.  For
+``solve`` that is its one solve; the three studies (``eval-gaussian``,
+``sample-complexity``, ``domain-adapt``) share one rule: exit 2 if any
+record failed or did not converge, or the study's reference solve (the
+sample-complexity ``m_ref`` solve) did not converge.
 """
 
 from __future__ import annotations
@@ -59,25 +62,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _manifest(command, args, input_paths, runtime):
+def _manifest(args, input_paths, runtime):
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
     return {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "input_digests": {p: file_digest(p) for p in input_paths if p},
         "runtime_seconds": runtime,
     }
-
-
-def _finish(args, input_paths, t0):
-    write_json(
-        args.out + ".manifest.json",
-        _manifest(args.command, args, input_paths, time.perf_counter() - t0),
-    )
 
 
 def _solver_config(args):
@@ -111,7 +107,6 @@ def _read_cost(path):
 
 
 def cmd_solve(args):
-    t0 = time.perf_counter()
     if args.emit_model and args.cost != "sqeuclidean":
         # A model maps each point to its weighted target mean, the
         # barycenter of the squared-Euclidean cost only.
@@ -157,12 +152,10 @@ def cmd_solve(args):
             beta_star=beta, source_points=X, target_points=Y, kernel1=kernel
         )
         save_model(model, args.emit_model)
-    _finish(args, [args.source, args.target, cost_path], t0)
-    return 0 if trace.converged else 2
+    return (0 if trace.converged else 2), [args.source, args.target, cost_path]
 
 
 def cmd_map(args):
-    t0 = time.perf_counter()
     model = load_model(args.model)
     P = read_matrix_csv(args.points)
     if args.method == "closed":
@@ -172,12 +165,10 @@ def cmd_map(args):
     write_matrix_csv(
         args.out, mapped, extra_columns=[("fallback", fallback.astype(int))]
     )
-    _finish(args, [args.model, args.points], t0)
-    return 0
+    return 0, [args.model, args.points]
 
 
 def cmd_emd(args):
-    t0 = time.perf_counter()
     inputs = []
     if args.cost != "sqeuclidean":
         C = _read_cost(args.cost)
@@ -191,12 +182,20 @@ def cmd_emd(args):
         inputs += [args.source, args.target]
     coupling, objective = solve_emd_exact(C)
     write_json(args.out, {"coupling": coupling.tolist(), "objective": objective})
-    _finish(args, inputs, t0)
-    return 0
+    return 0, inputs
+
+
+def _study_exit(args, report, input_paths=()):
+    """Write a study's report; its exit code is 2 if any record failed or did
+    not converge, or the study's reference solve did not converge."""
+    write_json(args.out, report.to_dict())
+    ok = report.details.get("ref_converged", True) and not any(
+        r.get("failed", False) or not r["converged"] for r in report.records
+    )
+    return (0 if ok else 2), input_paths
 
 
 def cmd_eval_gaussian(args):
-    t0 = time.perf_counter()
     report = run_gaussian_experiment(
         d=args.dim,
         m_values=args.samples,
@@ -206,13 +205,10 @@ def cmd_eval_gaussian(args):
         oos_count=args.oos_count,
         method=args.method,
     )
-    write_json(args.out, report.to_dict())
-    _finish(args, [], t0)
-    return 2 if any(r["failed"] or not r["converged"] for r in report.records) else 0
+    return _study_exit(args, report)
 
 
 def cmd_sample_complexity(args):
-    t0 = time.perf_counter()
     report = run_sample_complexity_study(
         d=args.dim,
         m_values=args.samples,
@@ -221,14 +217,10 @@ def cmd_sample_complexity(args):
         seed=args.seed,
         ref_multiplier=args.ref_multiplier,
     )
-    write_json(args.out, report.to_dict())
-    _finish(args, [], t0)
-    converged = [r["converged"] for r in report.records]
-    return 0 if all(converged) and report.details["ref_converged"] else 2
+    return _study_exit(args, report)
 
 
 def cmd_domain_adapt(args):
-    t0 = time.perf_counter()
     source = read_labeled_csv(args.source)
     target_train = read_labeled_csv(args.target_train)
     target_test = read_labeled_csv(args.target_test)
@@ -242,13 +234,8 @@ def cmd_domain_adapt(args):
         oos_source=oos,
         method=args.method,
     )
-    write_json(args.out, report.to_dict())
-    _finish(
-        args,
-        [args.source, args.target_train, args.target_test, args.oos_source],
-        t0,
-    )
-    return 0 if report.records[0]["converged"] else 2
+    inputs = [args.source, args.target_train, args.target_test, args.oos_source]
+    return _study_exit(args, report, inputs)
 
 
 def _add_solver_flags(p):
@@ -358,8 +345,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, input_paths = args.func(args)
+        # The runtime is taken before the inputs are digested.
+        manifest = _manifest(args, input_paths, time.perf_counter() - t0)
+        write_json(args.out + ".manifest.json", manifest)
+        return code
     except _INPUT_ERRORS as exc:
         print(f"mmdot {args.command}: error: {exc}", file=sys.stderr)
         return 1

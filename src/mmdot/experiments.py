@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 
 from .dataio import LabeledDataset
 from .embeddings import squared_euclidean_cost
-from .errors import DatasetError, ShapeError
+from .errors import DatasetError, EmptyInputError, ShapeError
 from .kernels import GAUSSIAN, KernelSpec, gram
 from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import TransportMapModel, map_points_closed_form
@@ -325,8 +325,6 @@ def run_sample_complexity_study(
 
 def _one_nearest_neighbor(train_X, train_y, test_X):
     """1-NN with Euclidean distance; ties break to the smallest train index."""
-    if test_X.shape[0] == 0:
-        return np.zeros(0, dtype=int)
     D = cdist(test_X, train_X)
     idx = np.argmin(D, axis=1)  # first occurrence = smallest index
     return train_y[idx]
@@ -347,7 +345,8 @@ def run_domain_adaptation(
     training features; source points are mapped through the closed-form
     barycentric map and a 1-NN classifier fitted on the mapped points is
     evaluated on the target test set.  If out-of-sample source points are
-    given, only those are projected for the OOS score.
+    given, only those are projected for the OOS score.  An empty
+    ``target_test`` raises ``EmptyInputError``: no accuracy is defined on it.
     """
     dims = {
         "source": source.features.shape[1],
@@ -360,6 +359,8 @@ def run_domain_adaptation(
         raise ShapeError(f"feature dimensions disagree: {dims}")
     if source.labels is None or target_test.labels is None:
         raise DatasetError("source and target_test must carry labels")
+    if len(target_test) == 0:
+        raise EmptyInputError("target_test has no rows to score")
     unseen = set(target_test.labels.tolist()) - set(source.labels.tolist())
     if unseen:
         raise DatasetError(f"test labels absent from source: {sorted(unseen)}")

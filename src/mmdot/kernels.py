@@ -27,8 +27,8 @@ class KernelSpec:
     Args:
         kind: ``"gaussian"`` or ``"delta"``.
         sigma: Bandwidth, in the same units as the input coordinates.
-            Required for the Gaussian kernel, as a positive real number
-            (not a bool); ignored for the delta kernel.
+            Required for the Gaussian kernel, as a finite positive real
+            number (not a bool); ignored for the delta kernel.
     """
 
     kind: str
@@ -39,7 +39,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == GAUSSIAN:
             s = self.sigma
-            if isinstance(s, bool) or not isinstance(s, Real) or not s > 0:
+            if isinstance(s, bool) or not isinstance(s, Real) or not 0 < s < np.inf:
                 raise ValueError("Gaussian kernel requires a real sigma > 0")
 
 

@@ -64,10 +64,10 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "nu1", "nu2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not self.rho_admm > 0:
-            raise ValueError("rho_admm must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 < self.rho_admm < np.inf:
+            raise ValueError("rho_admm must be finite and positive")
         if self.max_outer_iters <= 0 or self.max_inner_iters <= 0:
             raise ValueError("iteration budgets must be positive")
         if not (self.tol_gap > 0 and self.tol_residual > 0):
@@ -335,18 +335,19 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     sizes = []
     solves = fallbacks = 0
 
-    def failure(what):
-        trace = SolveTrace(
+    def trace(stop=None):
+        # The one SolveTrace of this route: at return, or carried by a
+        # NumericalFailureError with no stop reason.
+        return SolveTrace(
             np.array(objs), np.array(gaps),
             support_solves=solves, nnls_solves=fallbacks,
-            support_sizes=np.array(sizes, dtype=int),
+            stop_reason=stop, support_sizes=np.array(sizes, dtype=int),
         )
-        return NumericalFailureError(what, trace=trace)
 
     # The objective sums every entry of H1u and H2u, so with L finite,
     # checking it and g[s] in each iteration covers the whole gradient.
     if not np.all(np.isfinite(Lf)):
-        raise failure("non-finite objective or gradient")
+        raise NumericalFailureError("non-finite objective or gradient", trace())
     idx = np.array([np.argmin(Lf)])
     a = np.ones(1)
     for it in range(cfg.max_outer_iters):
@@ -362,14 +363,16 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         )
         s, g_s = _lmo(L, p, q, buf)
         if not (np.isfinite(obj) and np.isfinite(g_s)):
-            raise failure("non-finite objective or gradient")
+            raise NumericalFailureError("non-finite objective or gradient", trace())
         if objs:
             # Every step is an exact minimization, so the true objective is
             # non-increasing; a fresh evaluation can still wobble by an ulp,
             # so record the running minimum and treat any material increase
             # as a bug.
             if obj > objs[-1] + 1e-8 * (1.0 + abs(objs[-1])):
-                raise failure(f"objective increased from {objs[-1]!r} to {obj!r}")
+                raise NumericalFailureError(
+                    f"objective increased from {objs[-1]!r} to {obj!r}", trace()
+                )
             obj = min(obj, objs[-1])
         # The gradient on the support, summed as in _lmo.
         fw_gap = float(((Lf[idx] + p[I]) + q[J]) @ a) - g_s
@@ -416,7 +419,9 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         try:
             a, fell_back = _support_qp(Q, Lf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
         except np.linalg.LinAlgError as exc:
-            raise failure(f"support solve failed: {exc}") from exc
+            raise NumericalFailureError(
+                f"support solve failed: {exc}", trace()
+            ) from exc
         solves += 1
         fallbacks += fell_back
         keep = a > 0.0
@@ -428,24 +433,20 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     alpha = np.zeros((m, n))
     alpha.flat[idx] = a
-    trace = SolveTrace(
-        objective_per_iter=np.array(objs),
-        gap_or_residual_per_iter=np.array(gaps),
-        support_solves=solves,
-        nnls_solves=fallbacks,
-        stop_reason=stop,
-        support_sizes=np.array(sizes, dtype=int),
-    )
-    return alpha, trace
+    return alpha, trace(stop)
 
 
 def _check_shapes(C, G1, G2):
+    """The solvers' one input front: ``C`` and both grams as float arrays
+    (a gram may be a ``GramMatrix``), with matching shapes."""
+    C = np.asarray(C, dtype=float)
+    G1, G2 = gram_entries(G1), gram_entries(G2)
     m, n = C.shape
     if G1.shape != (m, m):
         raise ShapeError(f"G1 shape {G1.shape} does not match cost rows {m}")
     if G2.shape != (n, n):
         raise ShapeError(f"G2 shape {G2.shape} does not match cost columns {n}")
-    return m, n
+    return C, G1, G2
 
 
 def solve_simplified(C, G1, G2, cfg: SolverConfig):
@@ -462,11 +463,8 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     and ``support_solves`` and ``nnls_solves`` count the support solves and
     those that fell back from the exact KKT fast path to the NNLS.
     """
-    Cm = np.asarray(C, dtype=float)
-    G1 = gram_entries(G1)
-    G2 = gram_entries(G2)
-    _check_shapes(Cm, G1, G2)
-    alpha, trace = _frank_wolfe_simplex(Cm, G1, G2, cfg)
+    C, G1, G2 = _check_shapes(C, G1, G2)
+    alpha, trace = _frank_wolfe_simplex(C, G1, G2, cfg)
     return PlanCoefficients(alpha=_clean_simplex(alpha)), trace
 
 
@@ -669,10 +667,8 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     steps of all of them and ``nnls_solves`` the column fits that went to
     scipy's ``nnls``.
     """
-    Cm = np.asarray(C, dtype=float)
-    G1 = gram_entries(G1)
-    G2 = gram_entries(G2)
-    m, n = _check_shapes(Cm, G1, G2)
+    C, G1, G2 = _check_shapes(C, G1, G2)
+    m, n = C.shape
     rho = cfg.rho_admm
 
     H1, H2 = _penalty_matrices(G1, G2, cfg)
@@ -702,17 +698,20 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     cap_hits = newton_steps = nnls_solves = 0
     stop = "budget"
 
-    def failure(what):
-        trace = SolveTrace(
+    def trace(stop=None):
+        # The one SolveTrace of this route, as in _frank_wolfe_simplex.
+        return SolveTrace(
             np.array(objs), np.array(residuals), cap_hits,
             nnls_solves=nnls_solves, prox_newton_steps=newton_steps,
+            stop_reason=stop,
         )
-        return NumericalFailureError(f"{what} in consensus iteration", trace=trace)
 
     for _ in range(cfg.max_outer_iters):
-        center = 0.5 * (D1 + D2 + Cm / rho - F2 - F1)
+        center = 0.5 * (D1 + D2 + C / rho - F2 - F1)
         if not np.all(np.isfinite(center)):
-            raise failure("non-finite prox center")
+            raise NumericalFailureError(
+                "non-finite prox center in consensus iteration", trace()
+            )
         alpha, y, steps, capped = _prox_simplex(
             B, rho, center, y, cfg.max_inner_iters
         )
@@ -738,29 +737,23 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
         r2 = float(np.linalg.norm(P2))
         u1 = alpha.sum(axis=1) - 1.0 / m
         u2 = alpha.sum(axis=0) - 1.0 / n
-        obj = float(np.sum(alpha * Cm)) + float(u1 @ H1 @ u1) + float(u2 @ H2 @ u2)
+        obj = float(np.sum(alpha * C)) + float(u1 @ H1 @ u1) + float(u2 @ H2 @ u2)
         if not np.isfinite(obj):
-            raise failure("non-finite objective")
+            raise NumericalFailureError(
+                "non-finite objective in consensus iteration", trace()
+            )
         objs.append(obj)
         residuals.append(max(r1, r2))
         if r1 <= cfg.tol_residual and r2 <= cfg.tol_residual:
             stop = "residual"
             break
 
-    trace = SolveTrace(
-        objective_per_iter=np.array(objs),
-        gap_or_residual_per_iter=np.array(residuals),
-        inner_cap_hits=cap_hits,
-        nnls_solves=nnls_solves,
-        prox_newton_steps=newton_steps,
-        stop_reason=stop,
-    )
     plan = PlanCoefficients(
         alpha=_clean_simplex(alpha),
         beta=np.maximum(beta, 0.0),
         gamma=np.maximum(gamma, 0.0),
     )
-    return plan, trace
+    return plan, trace(stop)
 
 
 # ---------------------------------------------------------------------------

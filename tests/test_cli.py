@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import emd_by_vertex_enumeration
 
+from mmdot import experiments
 from mmdot.cli import _solver_config, build_parser, main
 from mmdot.dataio import write_matrix_csv
 from mmdot.errors import NumericalFailureError
@@ -20,6 +22,16 @@ def write_points(path, M, header=None):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_labeled(path, rng, rows):
+    """A labeled 2-d CSV of ``rows`` points labeled 0, 1, 0, ...; ``rows=0``
+    writes the header only."""
+    write_matrix_csv(
+        path, rng.normal(size=(rows, 2)), header=["f0", "f1"],
+        extra_columns=[("label", [k % 2 for k in range(rows)])],
+    )
+    return str(path)
 
 
 @pytest.fixture
@@ -127,6 +139,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "mmdot solve: error: support solve failed: test" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--lambda1", "nan", "lambda1 must be finite and nonnegative"),
+         ("--nu2", "inf", "nu2 must be finite and nonnegative"),
+         ("--rho", "inf", "rho_admm must be finite and positive")],
+    )
+    def test_non_finite_weight_exit_one(self, workdir, capsys, flag, value, message):
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        out = workdir / "plan.json"
+        code = run(
+            ["solve", "--source", src, "--target", src, "--kernel", "gaussian",
+             "--sigma", 1.0, flag, value, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot solve: error: {message}"]
+        assert not out.exists()
+        assert not (workdir / "plan.json.manifest.json").exists()
 
     def test_missing_sigma_for_gaussian(self, workdir, capsys):
         src = write_points(workdir / "x.csv", [[0.0]])
@@ -552,6 +583,32 @@ class TestExperimentCommands:
         assert doc["details"]["ref_converged"] is False
         assert (workdir / "slope.json.manifest.json").exists()
 
+    def test_sample_complexity_unconverged_reference_exit_two(
+        self, workdir, monkeypatch
+    ):
+        # Every per-m solve converges; only the m_ref = 8 * 10 solve is
+        # reported as stopped on its budget.
+        solve = experiments.solve_simplified
+
+        def budget_at_reference(C, G1, G2, cfg):
+            plan, trace = solve(C, G1, G2, cfg)
+            if C.shape[0] == 80:
+                trace = dataclasses.replace(trace, stop_reason="budget")
+            return plan, trace
+
+        monkeypatch.setattr("mmdot.experiments.solve_simplified", budget_at_reference)
+        out = workdir / "slope.json"
+        code = run(
+            ["sample-complexity", "--dim", 2, "--samples", "5,10",
+             "--sigma", 1.0, "--out", out]
+        )
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["details"]["m_ref"] == 80
+        assert doc["details"]["ref_converged"] is False
+        assert all(r["converged"] for r in doc["records"])
+        assert (workdir / "slope.json.manifest.json").exists()
+
     def test_domain_adapt_on_blob_fixture(self, workdir):
         rng = np.random.default_rng(0)
 
@@ -599,6 +656,22 @@ class TestExperimentCommands:
         doc = json.loads(out.read_text())
         assert doc["records"][0]["converged"] is False
 
+    def test_domain_adapt_empty_target_test_exit_one(self, workdir, capsys):
+        rng = np.random.default_rng(2)
+        src = write_labeled(workdir / "src.csv", rng, 6)
+        tgt_train = write_labeled(workdir / "tt.csv", rng, 6)
+        tgt_test = write_labeled(workdir / "te.csv", rng, 0)
+        out = workdir / "da.json"
+        code = run(
+            ["domain-adapt", "--source", src, "--target-train", tgt_train,
+             "--target-test", tgt_test, "--sigma", 0.5, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot domain-adapt: error: target_test has no rows to score"]
+        assert not out.exists()
+        assert not (workdir / "da.json.manifest.json").exists()
+
     def test_experiment_rerun_byte_identical(self, workdir):
         out = workdir / "slope.json"
         args = ["sample-complexity", "--dim", 2, "--samples", "5,10",
@@ -607,6 +680,57 @@ class TestExperimentCommands:
         first = out.read_bytes()
         assert run(args) == 0
         assert out.read_bytes() == first
+
+
+class TestManifest:
+    KEYS = {"command", "parameters", "seed", "version", "input_digests",
+            "runtime_seconds"}
+
+    @staticmethod
+    def argv_and_inputs(command, workdir):
+        """Arguments of a small run of ``command`` and the input files its
+        manifest digests."""
+        rng = np.random.default_rng(5)
+        if command in ("solve", "map", "emd"):
+            src = write_points(workdir / "x.csv", rng.normal(size=(4, 2)))
+            tgt = write_points(workdir / "y.csv", rng.normal(size=(4, 2)))
+        if command == "solve":
+            return ["solve", "--source", src, "--target", tgt, "--kernel",
+                    "gaussian", "--sigma", 1.0], [src, tgt]
+        if command == "map":
+            model = str(workdir / "model.json")
+            assert run(["solve", "--source", src, "--target", tgt, "--kernel",
+                        "gaussian", "--sigma", 1.0, "--out", workdir / "plan.json",
+                        "--emit-model", model]) == 0
+            return ["map", "--model", model, "--points", src], [model, src]
+        if command == "emd":
+            return ["emd", "--source", src, "--target", tgt], [src, tgt]
+        if command == "eval-gaussian":
+            return ["eval-gaussian", "--dim", 2, "--samples", "6", "--sigma", 1.0,
+                    "--repeats", 1, "--oos-count", 4], []
+        if command == "sample-complexity":
+            return ["sample-complexity", "--dim", 2, "--samples", "4,6",
+                    "--sigma", 1.0], []
+        paths = [write_labeled(workdir / f"{name}.csv", rng, 6)
+                 for name in ("src", "tt", "te")]
+        return ["domain-adapt", "--source", paths[0], "--target-train", paths[1],
+                "--target-test", paths[2], "--sigma", 0.5], paths
+
+    @pytest.mark.parametrize(
+        "command",
+        ["solve", "map", "emd", "eval-gaussian", "sample-complexity", "domain-adapt"],
+    )
+    def test_every_command_writes_one_manifest_shape(self, workdir, command):
+        argv, inputs = self.argv_and_inputs(command, workdir)
+        out = workdir / "result.out"
+        assert run(argv + ["--out", out]) == 0
+        assert out.exists()
+        manifest = json.loads((workdir / "result.out.manifest.json").read_text())
+        assert set(manifest) == self.KEYS
+        assert manifest["command"] == command
+        assert manifest["parameters"]["out"] == str(out)
+        assert sorted(manifest["input_digests"]) == sorted(inputs)
+        assert manifest["runtime_seconds"] > 0.0
 
 
 class TestUsage:

@@ -34,6 +34,11 @@ class TestKernelSpec:
             KernelSpec(GAUSSIAN, sigma=0.0)
         with pytest.raises(ValueError):
             KernelSpec(GAUSSIAN, sigma=-1.0)
+        # An infinite bandwidth makes every Gaussian gram all ones.
+        with pytest.raises(ValueError):
+            KernelSpec(GAUSSIAN, sigma=np.inf)
+        with pytest.raises(ValueError):
+            KernelSpec(GAUSSIAN, sigma=-np.inf)
 
     @pytest.mark.parametrize("sigma", ["abc", "1.0", True, [1.0]])
     def test_gaussian_sigma_must_be_real(self, sigma):

@@ -112,6 +112,11 @@ class TestSolverConfig:
             {"max_inner_iters": -2},
             {"tol_gap": 0.0},
             {"tol_residual": -1e-9},
+            {"lambda1": np.nan},
+            {"lambda2": np.inf},
+            {"nu1": np.inf},
+            {"nu2": np.nan},
+            {"rho_admm": np.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
