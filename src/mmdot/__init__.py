@@ -6,7 +6,6 @@ experiment harnesses plus an exact discrete-OT baseline.
 """
 
 from .dataio import LabeledDataset
-from .embeddings import squared_euclidean_cost
 from .experiments import (
     ExperimentReport,
     GaussianPair,
@@ -19,7 +18,14 @@ from .experiments import (
     run_sample_complexity_study,
     sample_gaussian,
 )
-from .kernels import GAUSSIAN, KRONECKER_DELTA, GramMatrix, KernelSpec, gram
+from .kernels import (
+    GAUSSIAN,
+    KRONECKER_DELTA,
+    GramMatrix,
+    KernelSpec,
+    gram,
+    squared_euclidean_cost,
+)
 from .solvers import (
     PlanCoefficients,
     SolveTrace,

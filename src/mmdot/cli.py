@@ -33,14 +33,13 @@ from .dataio import (
     write_json,
     write_matrix_csv,
 )
-from .embeddings import squared_euclidean_cost
 from .errors import NumericalFailureError, ShapeError
 from .experiments import (
     run_domain_adaptation,
     run_gaussian_experiment,
     run_sample_complexity_study,
 )
-from .kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, gram
+from .kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec, gram, squared_euclidean_cost
 from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
 from .transport_map import (
     TransportMapModel,

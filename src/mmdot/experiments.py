@@ -22,10 +22,16 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataio import LabeledDataset
-from .embeddings import squared_euclidean_cost
 from .errors import DatasetError, EmptyInputError, ShapeError
-from .kernels import GAUSSIAN, KernelSpec, gram
-from .solvers import SolverConfig, derive_beta, solve_admm, solve_emd_exact, solve_simplified
+from .kernels import GAUSSIAN, KernelSpec, gram, squared_euclidean_cost
+from .solvers import (
+    SolverConfig,
+    _check_emd_size,
+    derive_beta,
+    solve_admm,
+    solve_emd_exact,
+    solve_simplified,
+)
 from .transport_map import TransportMapModel, map_points_closed_form
 
 
@@ -198,6 +204,8 @@ def run_gaussian_experiment(
     m_values = [int(m) for m in m_values]
     if not m_values or min(m_values) < 1:
         raise ValueError("m_values must hold at least one sample count, each >= 1")
+    KernelSpec(GAUSSIAN, sigma=sigma)  # a bad sigma fails here, not per record
+    _check_emd_size(max(m_values), max(m_values))
     pair = make_gaussian_pair(d, seed=cfg.seed)
     A_true = gaussian_map_matrix(pair)
     report = ExperimentReport(kind="gaussian_map")

@@ -1,4 +1,5 @@
-"""Kernel evaluation and gram-matrix construction.
+"""Kernel evaluation, gram matrices and the cost matrix: every pairwise
+matrix over the samples is one ``cdist`` call over ``_point_pair``.
 
 Two normalized kernels are supported: the Gaussian (RBF) kernel
 ``k(x, z) = exp(-||x - z||^2 / (2 sigma^2))`` and the Kronecker delta kernel
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import EmptyInputError, ShapeError
 
@@ -66,11 +67,10 @@ def _as_points(A) -> np.ndarray:
 
 
 def _point_pair(A, B):
-    """Both sample sets by ``_as_points`` (one array if ``B is A``), rejecting
-    a non-finite coordinate, an empty set and a dimension mismatch."""
-    Ap = _as_points(A)
-    Bp = Ap if B is A else _as_points(B)
-    if not (np.isfinite(Ap).all() and (Bp is Ap or np.isfinite(Bp).all())):
+    """Both sample sets by ``_as_points``, rejecting a non-finite coordinate,
+    an empty set and a dimension mismatch."""
+    Ap, Bp = _as_points(A), _as_points(B)
+    if not (np.isfinite(Ap).all() and np.isfinite(Bp).all()):
         raise ValueError("sample set has non-finite entries")
     if Ap.shape[0] == 0 or Bp.shape[0] == 0:
         raise EmptyInputError("empty sample set")
@@ -82,30 +82,32 @@ def _point_pair(A, B):
 def gram(spec: KernelSpec, A, B) -> GramMatrix:
     """Pairwise kernel evaluations ``entries[i, j] = k(A[i], B[j])``.
 
-    When ``A`` and ``B`` are the same object only the pairs ``i < j`` are
-    evaluated (scipy's ``pdist``, whose entries equal ``cdist``'s bit for
-    bit), which halves the distance and ``exp`` work; they are mirrored, so
-    the result is exactly symmetric bitwise with a unit diagonal.
+    A same-set gram is exactly symmetric bitwise with a unit diagonal: a
+    squared coordinate difference is the same either way round, and a
+    point's distance to itself is an exact zero.
     Delta-kernel equality is exact coordinate-wise floating-point equality.
     """
-    Ap, Bp = _point_pair(A, B)
     metric = "sqeuclidean" if spec.kind == GAUSSIAN else "hamming"
-    same = Bp is Ap
-    D = pdist(Ap, metric) if same else cdist(Ap, Bp, metric)
+    D = cdist(*_point_pair(A, B), metric)
     if spec.kind == GAUSSIAN:
-        np.maximum(D, 0.0, out=D)
         # In place, with the rounding of np.exp(-D / (2 sigma^2)).
         np.negative(D, out=D)
         D /= 2.0 * spec.sigma**2
-        K = np.exp(D, out=D)
-    else:
-        # The Hamming distance is the share of differing coordinates.
-        K = np.equal(D, 0.0, out=D)
+        return GramMatrix(entries=np.exp(D, out=D))
+    # The Hamming distance is the share of differing coordinates.
+    return GramMatrix(entries=np.equal(D, 0.0, out=D))
 
-    if same:
-        K = squareform(K, checks=False)
-        np.fill_diagonal(K, 1.0)
-    return GramMatrix(entries=K)
+
+def squared_euclidean_cost(X, Y) -> np.ndarray:
+    """Cost matrix ``C[i, j] = ||X[i] - Y[j]||^2``, the sample sets read and
+    checked as ``gram`` reads them.
+
+    The plan objective's loss term is ``<C, alpha>``: by the reproducing
+    property that is the inner product of the cost with the plan embedding,
+    so no solver needs the cost's own embedding, and a cost is just this
+    m x n array.
+    """
+    return cdist(*_point_pair(X, Y), "sqeuclidean")
 
 
 def gram_entries(G) -> np.ndarray:

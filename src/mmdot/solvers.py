@@ -70,8 +70,8 @@ class SolverConfig:
             raise ValueError("rho_admm must be finite and positive")
         if self.max_outer_iters <= 0 or self.max_inner_iters <= 0:
             raise ValueError("iteration budgets must be positive")
-        if not (self.tol_gap > 0 and self.tol_residual > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_gap < np.inf and 0 < self.tol_residual < np.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -760,6 +760,11 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
 # Exact discrete OT
 # ---------------------------------------------------------------------------
 
+def _check_emd_size(m, n):
+    if m * n > _EMD_SIZE_CAP:
+        raise ShapeError(f"m*n = {m * n} exceeds exact-solver cap {_EMD_SIZE_CAP}")
+
+
 def solve_emd_exact(C):
     """Exact discrete OT with uniform marginals.
 
@@ -777,8 +782,7 @@ def solve_emd_exact(C):
     if not np.isfinite(Cm).all():
         raise ValueError("cost matrix has non-finite entries")
     m, n = Cm.shape
-    if m * n > _EMD_SIZE_CAP:
-        raise ShapeError(f"m*n = {m * n} exceeds exact-solver cap {_EMD_SIZE_CAP}")
+    _check_emd_size(m, n)
 
     if m == n:
         rows, cols = linear_sum_assignment(Cm)

@@ -264,6 +264,8 @@ def _sgd_lockstep(model, W, steps, seed, radius):
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: TransportMapModel) -> dict:
+    if model.cost_grad is not None:
+        raise InvalidModelError("only squared-Euclidean models are serializable")
     return {
         "beta_star": model.beta_star.tolist(),
         "source_points": model.source_points.tolist(),
@@ -305,8 +307,6 @@ def save_model(model: TransportMapModel, path) -> None:
     repr is shortest-round-trip, so a written model reads back
     bit-identically.
     """
-    if model.cost_grad is not None:
-        raise InvalidModelError("only squared-Euclidean models are serializable")
     write_json(path, model_to_dict(model))
 
 

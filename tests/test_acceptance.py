@@ -25,14 +25,13 @@ from oracles import emd_by_vertex_enumeration
 
 from mmdot.cli import main as cli_main
 from mmdot.dataio import write_matrix_csv
-from mmdot.embeddings import squared_euclidean_cost
 from mmdot.experiments import (
     gaussian_map_matrix,
     make_gaussian_pair,
     run_gaussian_experiment,
     run_sample_complexity_study,
 )
-from mmdot.kernels import GAUSSIAN, KernelSpec, gram
+from mmdot.kernels import GAUSSIAN, KernelSpec, gram, squared_euclidean_cost
 from mmdot.solvers import (
     SolverConfig,
     solve_admm,

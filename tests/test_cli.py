@@ -144,7 +144,9 @@ class TestSolve:
         "flag, value, message",
         [("--lambda1", "nan", "lambda1 must be finite and nonnegative"),
          ("--nu2", "inf", "nu2 must be finite and nonnegative"),
-         ("--rho", "inf", "rho_admm must be finite and positive")],
+         ("--rho", "inf", "rho_admm must be finite and positive"),
+         ("--tol", "inf", "tolerances must be finite and positive"),
+         ("--tol-residual", "inf", "tolerances must be finite and positive")],
     )
     def test_non_finite_weight_exit_one(self, workdir, capsys, flag, value, message):
         src = write_points(workdir / "x.csv", [[0.0], [1.0]])
@@ -547,6 +549,24 @@ class TestExperimentCommands:
                 "--repeats", 1, "--oos-count", 8, "--out", out]
         assert run(argv) == 1
         assert "each >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (workdir / "report.json.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "samples, sigma, message",
+        [("6", 0.0, "Gaussian kernel requires a real sigma > 0"),
+         ("101", 1.0, "m*n = 10201 exceeds exact-solver cap 10000")],
+    )
+    def test_eval_gaussian_bad_input_exit_one_before_records(
+        self, workdir, capsys, samples, sigma, message
+    ):
+        # An input that would fail every record fails the run instead.
+        out = workdir / "report.json"
+        argv = ["eval-gaussian", "--dim", 2, "--samples", samples, "--sigma", sigma,
+                "--repeats", 1, "--oos-count", 4, "--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mmdot eval-gaussian: error: {message}"]
         assert not out.exists()
         assert not (workdir / "report.json.manifest.json").exists()
 

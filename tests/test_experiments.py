@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from mmdot.dataio import LabeledDataset
-from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import DatasetError, ShapeError
 from mmdot.experiments import (
     GaussianPair,
@@ -17,7 +16,7 @@ from mmdot.experiments import (
     run_sample_complexity_study,
     sample_gaussian,
 )
-from mmdot.kernels import GAUSSIAN, KernelSpec, gram
+from mmdot.kernels import GAUSSIAN, KernelSpec, gram, squared_euclidean_cost
 from mmdot.solvers import SolverConfig, solve_simplified
 from mmdot.transport_map import map_points_closed_form
 

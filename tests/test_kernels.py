@@ -6,9 +6,15 @@ from scipy.spatial.distance import cdist
 
 from oracles import eval_kernel
 
-from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import EmptyInputError, ShapeError
-from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, GramMatrix, KernelSpec, gram
+from mmdot.kernels import (
+    GAUSSIAN,
+    KRONECKER_DELTA,
+    GramMatrix,
+    KernelSpec,
+    gram,
+    squared_euclidean_cost,
+)
 
 
 def gauss(sigma=1.0):
@@ -202,6 +208,18 @@ def test_gram_invariants_delta(n, seed):
     assert np.all(np.diag(G) == 1.0)
     vals = np.linalg.eigvalsh(G)
     assert vals[0] >= -1e-8 * max(vals[-1], 1.0)
+
+
+class TestCostMatrix:
+    def test_squared_euclidean_cost_values(self):
+        X = np.array([[0.0], [1.0]])
+        Y = np.array([[0.0], [3.0]])
+        C = squared_euclidean_cost(X, Y)
+        np.testing.assert_allclose(C, [[0.0, 9.0], [1.0, 4.0]])
+
+    def test_squared_euclidean_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            squared_euclidean_cost(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_gram_matrix_is_frozen():

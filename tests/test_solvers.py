@@ -16,10 +16,9 @@ from oracles import (
 from mmdot import solvers
 from mmdot.cli import main as cli_main
 from mmdot.dataio import write_matrix_csv
-from mmdot.embeddings import squared_euclidean_cost
 from mmdot.errors import NumericalFailureError, ShapeError
 from mmdot.experiments import make_gaussian_pair, sample_gaussian
-from mmdot.kernels import GAUSSIAN, KernelSpec, gram
+from mmdot.kernels import GAUSSIAN, KernelSpec, gram, squared_euclidean_cost
 from mmdot.solvers import (
     SolverConfig,
     _forest_cycle,
@@ -117,6 +116,8 @@ class TestSolverConfig:
             {"nu1": np.inf},
             {"nu2": np.nan},
             {"rho_admm": np.inf},
+            {"tol_gap": np.inf},
+            {"tol_residual": np.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -120,6 +120,9 @@ class TestModelValidation:
         with pytest.raises(InvalidModelError, match="serializable"):
             save_model(model, tmp_path / "model.json")
         assert not (tmp_path / "model.json").exists()
+        # A dict would name the squared-Euclidean cost and reload as such.
+        with pytest.raises(InvalidModelError, match="serializable"):
+            model_to_dict(model)
 
 
 class TestConditionalWeights:
