@@ -153,7 +153,8 @@ def fit_plan_model(X, Y, sigma, cfg: SolverConfig, method: str = "fw"):
     With the simplex-only solver the conditional coefficients are derived
     from alpha through the gram; the consensus solver supplies them
     directly.  Returns ``(model, plan, trace, info)`` where info carries
-    the gram condition numbers (reported, never thresholded).
+    the gram condition numbers (reported, never thresholded; ``None`` for
+    a singular gram, see ``_cond``).
     """
     kernel = KernelSpec(GAUSSIAN, sigma=sigma)
     G1 = gram(kernel, X, X)
@@ -170,15 +171,26 @@ def fit_plan_model(X, Y, sigma, cfg: SolverConfig, method: str = "fw"):
     model = TransportMapModel(
         beta_star=beta, source_points=X, target_points=Y, kernel1=kernel
     )
-    # A symmetric gram's singular values are its absolute eigenvalues, so
-    # this is np.linalg.cond's 2-norm condition number without an SVD.
-    ev1, ev2 = (np.abs(np.linalg.eigvalsh(G.entries)) for G in (G1, G2))
     info = {
-        "cond_G1": float(ev1.max() / ev1.min()),
-        "cond_G2": float(ev2.max() / ev2.min()),
+        "cond_G1": _cond(G1.entries),
+        "cond_G2": _cond(G2.entries),
         "converged": trace.converged,
     }
     return model, plan, trace, info
+
+
+def _cond(G):
+    """2-norm condition number of a symmetric gram, ``None`` when singular.
+
+    A symmetric matrix's singular values are its absolute eigenvalues, so
+    this is ``np.linalg.cond`` without an SVD.  A zero eigenvalue, or a
+    ratio past the float range, has no finite condition number; ``None``
+    keeps the report valid JSON.
+    """
+    ev = np.abs(np.linalg.eigvalsh(G))
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = ev.max() / ev.min()
+    return float(cond) if np.isfinite(cond) else None
 
 
 def run_gaussian_experiment(

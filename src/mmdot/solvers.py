@@ -88,7 +88,7 @@ class SolveTrace:
     on the ADMM route the ``beta``/``gamma`` column fits whose warm start
     failed or that had none (see ``_nnls_columns``).  ``stop_reason`` says
     why the loop ended: ``"gap"`` (Frank-Wolfe duality gap met),
-    ``"fixed_point"`` or ``"stall"`` (see ``_frank_wolfe_simplex``),
+    ``"fixed_point"`` or ``"stall"`` (see ``solve_simplified``),
     ``"residual"`` (ADMM residuals met) or ``"budget"``
     (``max_outer_iters`` used up); it is ``None`` on the trace of a
     ``NumericalFailureError``.  ``support_sizes`` holds the number of
@@ -120,9 +120,10 @@ class SolveTrace:
 class PlanCoefficients:
     """Representer coefficients of the plan embedding.
 
-    ``alpha`` lies on the joint probability simplex.  ``beta`` (n x m) and
-    ``gamma`` (m x n) are the nonnegative conditional-embedding
-    coefficients; they are only present on the ADMM route.
+    ``alpha`` lies on the joint probability simplex up to rounding, as
+    each route computed it.  ``beta`` (n x m) and ``gamma`` (m x n) are
+    the nonnegative conditional-embedding coefficients; they are only
+    present on the ADMM route.
     """
 
     alpha: np.ndarray
@@ -138,10 +139,14 @@ def _penalty_matrices(G1, G2, cfg):
     ``<C, alpha> + u1^T H1 u1 + u2^T H2 u2``; the loss term needs no
     embedding of the cost, since ``<c, phi(x_i) (x) phi(y_j)> = c(x_i, y_j)``.
     """
-    return tuple(
-        lam * G + nu * (G * G)
-        for G, lam, nu in ((G1, cfg.lambda1, cfg.nu1), (G2, cfg.lambda2, cfg.nu2))
-    )
+    # Built in place: the bits of lam * G + nu * (G * G), with no m x m
+    # temporary but lam * G.
+    H1, H2 = G1 * G1, G2 * G2
+    H1 *= cfg.nu1
+    H2 *= cfg.nu2
+    H1 += cfg.lambda1 * G1
+    H2 += cfg.lambda2 * G2
+    return H1, H2
 
 
 def _support_qp(Q, c):
@@ -259,23 +264,37 @@ def _lmo(L, p, q, buf):
     return s, float(best)
 
 
-def _frank_wolfe_simplex(L, G1, G2, cfg):
+def _check_shapes(C, G1, G2):
+    """The solvers' one input front: ``C`` and both grams as float arrays
+    (a gram may be a ``GramMatrix``), with matching shapes."""
+    C = np.asarray(C, dtype=float)
+    G1, G2 = gram_entries(G1), gram_entries(G2)
+    m, n = C.shape
+    if G1.shape != (m, m):
+        raise ShapeError(f"G1 shape {G1.shape} does not match cost rows {m}")
+    if G2.shape != (n, n):
+        raise ShapeError(f"G2 shape {G2.shape} does not match cost columns {n}")
+    return C, G1, G2
+
+
+def solve_simplified(C, G1, G2, cfg: SolverConfig):
     """Fully-corrective conditional gradient over the joint probability simplex.
 
     Minimizes the penalized plan objective
 
-        f(alpha) = <L, alpha> + lam1 ||alpha 1 - 1/m||^2_{G1}
+        f(alpha) = <C, alpha> + lam1 ||alpha 1 - 1/m||^2_{G1}
                  + lam2 ||alpha^T 1 - 1/n||^2_{G2}
                  + nu1  ||alpha 1 - 1/m||^2_{G1*G1}
                  + nu2  ||alpha^T 1 - 1/n||^2_{G2*G2}
 
     where ``lam1, lam2, nu1, nu2`` are ``cfg.lambda1, cfg.lambda2, cfg.nu1,
     cfg.nu2`` (Holloway's fully-corrective Frank-Wolfe; Lacoste-Julien &
-    Jaggi, NeurIPS 2015).  It starts at the vertex ``argmin L``.  Each outer
-    iteration finds the gradient's smallest entry (the linear minimization
-    oracle) and stops once the duality gap is at most ``cfg.tol_gap``;
-    otherwise it adds the best vertex ``s`` to the support and solves the
-    objective exactly on the support
+    Jaggi, NeurIPS 2015).  Returns ``(PlanCoefficients with beta/gamma
+    absent, SolveTrace)``.  It starts at the vertex ``argmin C``.  Each
+    outer iteration finds the gradient's smallest entry (the linear
+    minimization oracle) and stops once the duality gap is at most
+    ``cfg.tol_gap``; otherwise it adds the best vertex ``s`` to the support
+    and solves the objective exactly on the support
     (``_support_qp``: the equality-constrained KKT point when every support
     weight is positive there, one NNLS otherwise).  With
     ``H = lam G + nu G*G`` that support problem is ``min a^T Q a + c^T a``
@@ -296,14 +315,16 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     The iterate is the support itself: cell indices ``idx`` (rows ``I``,
     columns ``J``) and weights ``a``; the dense plan is built once, at
-    return.  The only O(mn) work of an outer iteration is the ``argmin`` of
-    the gradient ``g = L + p[:, None] + q``, with ``p = 2 H1 u1`` and
-    ``q = 2 H2 u2``.  No m x n gradient is allocated: ``_lmo`` sums and
-    searches it a cache-sized block of rows at a time in one buffer kept
-    for the solve, and the gap reads ``g`` on the support cells from the
-    same sums.  ``H1 u1`` is ``H1[:, I] @ a - H1 1/m``, O(m k) for a
-    support of ``k`` cells; the objective, the gap and the FW step's
-    curvature are read off the support and these vectors.
+    return, by scattering ``a`` into zeros.  The weights are the support
+    solve's output, positive and divided by their sum, so the plan lies on
+    the simplex up to rounding.  The only O(mn) work of an outer iteration
+    is the ``argmin`` of the gradient ``g = C + p[:, None] + q``, with
+    ``p = 2 H1 u1`` and ``q = 2 H2 u2``.  No m x n gradient is allocated:
+    ``_lmo`` sums and searches it a cache-sized block of rows at a time in
+    one buffer kept for the solve, and the gap reads ``g`` on the support
+    cells from the same sums.  ``H1 u1`` is ``H1[:, I] @ a - H1 1/m``,
+    O(m k) for a support of ``k`` cells; the objective, the gap and the FW
+    step's curvature are read off the support and these vectors.
 
     If ``s`` already lies in the support after an exact support solve, the
     iterate is a fixed point of the loop: it stops there, converged only if
@@ -312,19 +333,22 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
     repeat this one (a stall, seen with near-duplicate points, whose ``Q``
     is nearly singular): it stops there too, unconverged.
     ``cfg.max_outer_iters`` bounds the outer iterations; the returned plan
-    is the last one evaluated, and the trace records the stop reason and
-    the support solves by route.  A tie between bit-equal gradient entries
-    goes to the first cell in row-major order, and reruns are
-    bit-identical.  The gradient rows of identical points are equal only up
-    to rounding, so which copy of an identical point receives mass is not
-    specified.
+    is the last one evaluated.  The trace's ``stop_reason`` names why the
+    loop ended (``"gap"``, ``"fixed_point"``, ``"stall"``, ``"budget"``),
+    and ``support_solves`` and ``nnls_solves`` count the support solves and
+    those that fell back from the exact KKT fast path to the NNLS.  A tie
+    between bit-equal gradient entries goes to the first cell in row-major
+    order, and reruns are bit-identical.  The gradient rows of identical
+    points are equal only up to rounding, so which copy of an identical
+    point receives mass is not specified.
     """
-    m, n = L.shape
+    C, G1, G2 = _check_shapes(C, G1, G2)
+    m, n = C.shape
     H1, H2 = _penalty_matrices(G1, G2, cfg)
     # H 1/m: the penalty's pull toward the uniform marginals.
     w1 = H1.sum(axis=1) / m
     w2 = H2.sum(axis=1) / n
-    Lf = L.ravel()
+    Cf = C.ravel()
     cls1, cls2 = _point_classes(G1), _point_classes(G2)
 
     # The gradient argmin's block of rows (see _lmo).
@@ -344,11 +368,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
             stop_reason=stop, support_sizes=np.array(sizes, dtype=int),
         )
 
-    # The objective sums every entry of H1u and H2u, so with L finite,
+    # The objective sums every entry of H1u and H2u, so with C finite,
     # checking it and g[s] in each iteration covers the whole gradient.
-    if not np.all(np.isfinite(Lf)):
+    if not np.all(np.isfinite(Cf)):
         raise NumericalFailureError("non-finite objective or gradient", trace())
-    idx = np.array([np.argmin(Lf)])
+    idx = np.array([np.argmin(Cf)])
     a = np.ones(1)
     for it in range(cfg.max_outer_iters):
         I, J = np.divmod(idx, n)
@@ -357,11 +381,11 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         p = 2.0 * H1u
         q = 2.0 * H2u
         obj = (
-            float(Lf[idx] @ a)
+            float(Cf[idx] @ a)
             + (float(a @ H1u[I]) - float(H1u.sum()) / m)
             + (float(a @ H2u[J]) - float(H2u.sum()) / n)
         )
-        s, g_s = _lmo(L, p, q, buf)
+        s, g_s = _lmo(C, p, q, buf)
         if not (np.isfinite(obj) and np.isfinite(g_s)):
             raise NumericalFailureError("non-finite objective or gradient", trace())
         if objs:
@@ -375,7 +399,7 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
                 )
             obj = min(obj, objs[-1])
         # The gradient on the support, summed as in _lmo.
-        fw_gap = float(((Lf[idx] + p[I]) + q[J]) @ a) - g_s
+        fw_gap = float(((Cf[idx] + p[I]) + q[J]) @ a) - g_s
         objs.append(obj)
         gaps.append(fw_gap)
         sizes.append(idx.size)
@@ -408,7 +432,7 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
             # is needed.
             ring = np.array([idx.size - 1] + path)
             signs = np.resize([1.0, -1.0], ring.size)
-            if float(signs @ Lf[idx[ring]]) > 0.0:
+            if float(signs @ Cf[idx[ring]]) > 0.0:
                 signs = -signs
             shrink = ring[signs < 0.0]
             drop = shrink[np.argmin(a[shrink])]
@@ -417,7 +441,7 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
         I, J = np.divmod(idx, n)
         Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
         try:
-            a, fell_back = _support_qp(Q, Lf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
+            a, fell_back = _support_qp(Q, Cf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 f"support solve failed: {exc}", trace()
@@ -433,44 +457,7 @@ def _frank_wolfe_simplex(L, G1, G2, cfg):
 
     alpha = np.zeros((m, n))
     alpha.flat[idx] = a
-    return alpha, trace(stop)
-
-
-def _check_shapes(C, G1, G2):
-    """The solvers' one input front: ``C`` and both grams as float arrays
-    (a gram may be a ``GramMatrix``), with matching shapes."""
-    C = np.asarray(C, dtype=float)
-    G1, G2 = gram_entries(G1), gram_entries(G2)
-    m, n = C.shape
-    if G1.shape != (m, m):
-        raise ShapeError(f"G1 shape {G1.shape} does not match cost rows {m}")
-    if G2.shape != (n, n):
-        raise ShapeError(f"G2 shape {G2.shape} does not match cost columns {n}")
-    return C, G1, G2
-
-
-def solve_simplified(C, G1, G2, cfg: SolverConfig):
-    """Minimize the penalized plan objective over the joint simplex.
-
-    Returns ``(PlanCoefficients with beta/gamma absent, SolveTrace)``.
-    The solve starts at the vertex ``argmin C`` and stops once the
-    conditional-gradient duality gap is at most ``cfg.tol_gap``, at a fixed
-    point of the loop (reported unconverged unless the gap met the target),
-    at a stall, where a support solve returns its starting iterate bit for
-    bit (reported unconverged), or after ``cfg.max_outer_iters`` outer
-    iterations; see ``_frank_wolfe_simplex``.  The trace's ``stop_reason``
-    names which (``"gap"``, ``"fixed_point"``, ``"stall"``, ``"budget"``),
-    and ``support_solves`` and ``nnls_solves`` count the support solves and
-    those that fell back from the exact KKT fast path to the NNLS.
-    """
-    C, G1, G2 = _check_shapes(C, G1, G2)
-    alpha, trace = _frank_wolfe_simplex(C, G1, G2, cfg)
-    return PlanCoefficients(alpha=_clean_simplex(alpha)), trace
-
-
-def _clean_simplex(alpha):
-    out = np.maximum(alpha, 0.0)
-    return out / out.sum()
+    return PlanCoefficients(alpha=alpha), trace(stop)
 
 
 def derive_beta(alpha, G1) -> np.ndarray:
@@ -662,10 +649,11 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     them goes to scipy's ``nnls`` as in the first cycle (see
     ``_nnls_columns``).  Stops when both primal residuals fall below
     ``cfg.tol_residual``; running out of budget returns ``converged=False``
-    rather than raising.  The trace's ``inner_cap_hits`` counts the cycles
-    whose prox solve ran out of steps, ``prox_newton_steps`` the Newton
-    steps of all of them and ``nnls_solves`` the column fits that went to
-    scipy's ``nnls``.
+    rather than raising.  The plan is the last cycle's ``alpha``, ``beta``
+    and ``gamma`` as computed, the ones the residuals were read from.  The
+    trace's ``inner_cap_hits`` counts the cycles whose prox solve ran out of
+    steps, ``prox_newton_steps`` the Newton steps of all of them and
+    ``nnls_solves`` the column fits that went to scipy's ``nnls``.
     """
     C, G1, G2 = _check_shapes(C, G1, G2)
     m, n = C.shape
@@ -699,7 +687,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     stop = "budget"
 
     def trace(stop=None):
-        # The one SolveTrace of this route, as in _frank_wolfe_simplex.
+        # The one SolveTrace of this route, as in solve_simplified.
         return SolveTrace(
             np.array(objs), np.array(residuals), cap_hits,
             nnls_solves=nnls_solves, prox_newton_steps=newton_steps,
@@ -748,12 +736,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
             stop = "residual"
             break
 
-    plan = PlanCoefficients(
-        alpha=_clean_simplex(alpha),
-        beta=np.maximum(beta, 0.0),
-        gamma=np.maximum(gamma, 0.0),
-    )
-    return plan, trace(stop)
+    return PlanCoefficients(alpha=alpha, beta=beta, gamma=gamma), trace(stop)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,21 @@ class TestSolve:
         assert err == [f"mmdot solve: error: {cost}: cost matrix has non-finite entries"]
         assert not out.exists()
 
+    def test_user_cost_shape_mismatch_exit_one(self, workdir, capsys):
+        src = write_points(workdir / "x.csv", [[0.0], [1.0], [3.0]])
+        tgt = write_points(workdir / "y.csv", [[0.5], [2.0]])
+        cost = write_points(workdir / "c.csv", [[0.5, 2.0, 1.0], [0.5, 1.0, 4.0]])
+        out = workdir / "plan.json"
+        code = run(["solve", "--source", src, "--target", tgt, "--kernel",
+                    "gaussian", "--sigma", 1.0, "--cost", cost, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "mmdot solve: error: cost shape (2, 3) does not match samples (3, 2)"
+        ]
+        assert not out.exists()
+        assert not (workdir / "plan.json.manifest.json").exists()
+
     def test_plan_payload_keeps_its_trace_fields(self, workdir):
         src = write_points(workdir / "x.csv", [[0.0], [1.0], [3.0]])
         tgt = write_points(workdir / "y.csv", [[0.5], [2.0], [2.5]])
@@ -675,6 +690,31 @@ class TestExperimentCommands:
         assert code == 2
         doc = json.loads(out.read_text())
         assert doc["records"][0]["converged"] is False
+
+    @pytest.mark.parametrize(
+        "method", [[], ["--method", "admm", "--rho", 200, "--tol-residual", 1e-4]]
+    )
+    def test_domain_adapt_singular_gram_reports_null(self, workdir, method):
+        # Two identical source points make the source gram [[1, 1], [1, 1]],
+        # whose smallest eigenvalue is exactly 0: its condition number is
+        # null, so the report stays strict JSON.
+        src, tt, te = workdir / "s.csv", workdir / "tt.csv", workdir / "te.csv"
+        src.write_text("x0,x1,label\n0,0,0\n0,0,0\n")
+        tt.write_text("x0,x1\n0.5,0\n1,1\n")
+        te.write_text("x0,x1,label\n0.2,0.1,0\n")
+        out = workdir / "da.json"
+        code = run(
+            ["domain-adapt", "--source", src, "--target-train", tt,
+             "--target-test", te, "--sigma", 1, *method, "--out", out]
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        record = json.loads(out.read_text(), parse_constant=reject)["records"][0]
+        assert record["cond_G1"] is None
+        assert 1.0 <= record["cond_G2"] < np.inf
 
     def test_domain_adapt_empty_target_test_exit_one(self, workdir, capsys):
         rng = np.random.default_rng(2)

@@ -374,6 +374,17 @@ def test_fit_plan_model_reports_condition_numbers():
     assert np.all(model.beta_star >= 0.0)
 
 
+def test_fit_plan_model_singular_gram_condition_is_none():
+    # Identical source points give the gram [[1, 1], [1, 1]]: a zero
+    # eigenvalue, so no finite condition number, and no warning.
+    X = np.zeros((2, 2))
+    Y = np.array([[0.5, 0.0], [1.0, 1.0]])
+    _, _, _, info = fit_plan_model(X, Y, 1.0, SolverConfig())
+    assert info["cond_G1"] is None
+    expected = np.linalg.cond(gram(KernelSpec(GAUSSIAN, sigma=1.0), Y, Y).entries)
+    assert info["cond_G2"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_fit_plan_model_admm_uses_solver_beta():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(4, 2))

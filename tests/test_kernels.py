@@ -134,10 +134,10 @@ class TestGram:
     @pytest.mark.parametrize("d", [3, 20])
     @pytest.mark.parametrize("m", [1, 2, 9, 60])
     def test_same_set_gram_is_mirrored_cdist(self, m, d):
-        # A same-set gram, evaluated once per pair through pdist, is the
-        # upper triangle of the cdist one mirrored, with a unit diagonal, bit
-        # for bit; with a duplicate point, and for the delta kernel on signed
-        # zeros.
+        # A same-set gram, one cdist of the set against itself, is the
+        # upper triangle of the cdist kernel mirrored, with a unit diagonal,
+        # bit for bit; with a duplicate point, and for the delta kernel on
+        # signed zeros.
         rng = np.random.default_rng(m)
         A = rng.normal(size=(m, d))
         A[m // 2] = A[0]

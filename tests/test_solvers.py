@@ -163,11 +163,14 @@ class TestSolveSimplified:
             assert abs(float(np.sum(plan.alpha * C)) - emd_obj) < 1e-2
 
     def test_feasibility_invariants(self):
-        for seed in range(5):
-            C, G1, G2 = gaussian_instance(seed)
+        # No repair follows the solve: the support weights are scattered
+        # into the plan as the support solve left them.
+        instances = [gaussian_instance(seed) for seed in range(5)]
+        instances += [slope_study_instance(901, m) for m in (25, 150)]
+        for C, G1, G2 in instances:
             plan, _ = solve_simplified(C, G1, G2, SolverConfig())
             assert np.all(plan.alpha >= 0.0)
-            assert abs(plan.alpha.sum() - 1.0) <= 1e-10
+            assert abs(plan.alpha.sum() - 1.0) <= 1e-12
 
     def test_objective_trace_non_increasing(self):
         C, G1, G2 = gaussian_instance(11)
@@ -183,7 +186,7 @@ class TestSolveSimplified:
         expected = penalized_objective(
             plan.alpha, C, G1.entries, G2.entries, 2.0, 3.0, 0.5, 1.5
         )
-        # Final reported objective is for the pre-cleanup iterate; re-evaluate.
+        # The returned plan is the iterate the last objective was read from.
         assert trace.objective_per_iter[-1] == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize(
@@ -556,6 +559,24 @@ class TestSupportQp:
         assert _point_classes(gram(GAUSS1, X[:2], X[:2]).entries) == [0, 1]
 
 
+class TestPenaltyMatrices:
+    @pytest.mark.parametrize("case", ["gauss0", "gauss3", "repeated7", "repeated45"])
+    def test_bitwise_as_sum_of_forms(self, case):
+        # Built in place, each form keeps the bits of lam G + nu G*G.
+        _, G1, G2 = named_instance(case)
+        for cfg in (
+            SolverConfig(),
+            SolverConfig(lambda1=0.3, lambda2=7.0, nu1=1e3, nu2=0.0),
+            SolverConfig(lambda1=0.0, lambda2=1e-3, nu1=1.7, nu2=3e5),
+        ):
+            H1, H2 = _penalty_matrices(G1.entries, G2.entries, cfg)
+            for H, G, lam, nu in (
+                (H1, G1.entries, cfg.lambda1, cfg.nu1),
+                (H2, G2.entries, cfg.lambda2, cfg.nu2),
+            ):
+                assert H.tobytes() == (lam * G + nu * (G * G)).tobytes()
+
+
 class TestSolveAdmm:
     def test_singleton_consensus(self):
         cfg = SolverConfig(lambda1=0, lambda2=0, nu1=0, nu2=0)
@@ -594,8 +615,8 @@ class TestSolveAdmm:
         assert trace.inner_cap_hits == 0
         res1 = np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / 5.0)
         res2 = np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / 5.0)
-        # Final cleanup renormalizes alpha; allow a small slack over the stop tol.
-        assert res1 <= 2e-4 and res2 <= 2e-4
+        # The returned plan is the one the stop test read its residuals from.
+        assert res1 <= 1e-4 and res2 <= 1e-4
         assert np.all(plan.beta >= 0.0) and np.all(plan.gamma >= 0.0)
 
     @pytest.mark.parametrize("m,n", [(4, 7), (7, 4)])
@@ -613,7 +634,7 @@ class TestSolveAdmm:
         assert plan.beta.shape == (n, m) and plan.gamma.shape == (m, n)
         res1 = np.linalg.norm(plan.alpha - (G1.entries @ plan.beta.T) / m)
         res2 = np.linalg.norm(plan.alpha - (plan.gamma @ G2.entries) / n)
-        assert res1 <= 2e-4 and res2 <= 2e-4
+        assert res1 <= 1e-4 and res2 <= 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_beta_gamma_step_is_exact_fit(self, seed):
@@ -696,6 +717,15 @@ class TestSolveAdmm:
         cost[1, 2] = bad
         with pytest.raises(NumericalFailureError):
             solve_admm(cost, G1, G2, SolverConfig(max_outer_iters=3))
+
+    def test_plan_as_computed(self):
+        # alpha is the last prox solve's simplex projection and beta, gamma
+        # the last column fits, none clamped or renormalized afterwards.
+        C, G1, G2 = blob_instance(0)
+        plan, _ = solve_admm(C, G1, G2, SolverConfig(rho_admm=200.0, max_outer_iters=40))
+        assert np.all(plan.alpha >= 0.0)
+        assert abs(plan.alpha.sum() - 1.0) <= 1e-12
+        assert np.all(plan.beta >= 0.0) and np.all(plan.gamma >= 0.0)
 
     def test_budget_exhaustion_returns_unconverged(self):
         C, G1, G2 = gaussian_instance(3)
