@@ -19,11 +19,12 @@ Three routes are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
+from scipy.linalg import block_diag, get_lapack_funcs
 from scipy.optimize import linear_sum_assignment, linprog, nnls
 
 from .errors import EmptyInputError, NumericalFailureError, ShapeError
@@ -35,6 +36,10 @@ _EMD_SIZE_CAP = 10_000
 _LMO_BLOCK_CELLS = 32_768
 # Sufficient-increase fraction of the Armijo line search in the ADMM prox.
 _ARMIJO = 1e-4
+# LAPACK's Cholesky factorization and its two solves, called directly: at
+# the support sizes of the Frank-Wolfe loop (often under 30) scipy's
+# wrappers of them cost several times the factorization itself.
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -149,14 +154,27 @@ def _penalty_matrices(G1, G2, cfg):
     return H1, H2
 
 
+def _cholesky(A):
+    """Upper Cholesky factor ``R`` of ``A = R^T R``, as ``scipy.linalg.cholesky``
+    computes it; ``A`` must be finite.  One that is not numerically definite
+    raises ``numpy.linalg.LinAlgError`` with scipy's message."""
+    R, info = _potrf(A, lower=0, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return R
+
+
 def _support_qp(Q, c):
     """Minimize ``a^T Q a + c^T a`` over the probability simplex exactly.
 
-    Returns ``(a, fell_back)``.  ``Q`` must be positive definite; one that
-    is not numerically definite raises ``numpy.linalg.LinAlgError``.
+    Returns ``(a, fell_back)``.  ``Q`` and ``c`` must be finite and ``Q``
+    positive definite; one that is not numerically definite raises
+    ``numpy.linalg.LinAlgError``.
 
     Factor ``Q = R^T R`` (Cholesky).  The fast path solves ``Q z1 = c`` and
-    ``Q z2 = 1`` (one ``cho_solve`` on a two-column right-hand side) and
+    ``Q z2 = 1`` (one ``potrs`` on a two-column right-hand side) and
     takes the stationary point on the hyperplane ``1^T a = 1``:
     ``a = -(z1 + mu z2) / 2`` with ``mu = -(2 + 1^T z1) / (1^T z2)``.  If
     every ``a > 0`` it is the simplex optimum, since the bound multipliers
@@ -169,17 +187,13 @@ def _support_qp(Q, c):
     Wolfe 1976).
     """
     k = c.size
-    R = cholesky(Q)
-    # R comes from a checked factorization; a non-finite c gives a NaN in
-    # a, which fails the test below and raises in the checked solve after it.
-    z1, z2 = cho_solve(
-        (R, False), np.column_stack([c, np.ones(k)]), check_finite=False
-    ).T
+    R = _cholesky(Q)
+    z1, z2 = _potrs(R, np.column_stack([c, np.ones(k)]))[0].T
     mu = -(2.0 + z1.sum()) / z2.sum()
     a = -0.5 * (z1 + mu * z2)
     if a.min() > 0.0:
         return a / a.sum(), False
-    y = solve_triangular(R, -0.5 * c, trans="T")
+    y = _trtrs(R, -0.5 * c, trans=1)[0]
     b = nnls(np.vstack([R - y[:, None], np.ones(k)]),
              np.concatenate([np.zeros(k), [1.0]]))[0]
     return b / b.sum(), True
@@ -372,21 +386,26 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
     # checking it and g[s] in each iteration covers the whole gradient.
     if not np.all(np.isfinite(Cf)):
         raise NumericalFailureError("non-finite objective or gradient", trace())
+    # The support: cells idx, their rows I and columns J, costs Cs, weights a.
     idx = np.array([np.argmin(Cf)])
+    I, J = np.divmod(idx, n)
+    Cs = Cf[idx]
     a = np.ones(1)
     for it in range(cfg.max_outer_iters):
-        I, J = np.divmod(idx, n)
         H1u = H1[:, I] @ a - w1
         H2u = H2[:, J] @ a - w2
         p = 2.0 * H1u
         q = 2.0 * H2u
         obj = (
-            float(Cf[idx] @ a)
+            float(Cs @ a)
             + (float(a @ H1u[I]) - float(H1u.sum()) / m)
             + (float(a @ H2u[J]) - float(H2u.sum()) / n)
         )
         s, g_s = _lmo(C, p, q, buf)
-        if not (np.isfinite(obj) and np.isfinite(g_s)):
+        # This check also fires before any Q is built from a non-finite
+        # gram, so _support_qp's unchecked LAPACK calls see finite input: a
+        # finite objective needs finite w1 and w2, the row sums of H1 and H2.
+        if not (math.isfinite(obj) and math.isfinite(g_s)):
             raise NumericalFailureError("non-finite objective or gradient", trace())
         if objs:
             # Every step is an exact minimization, so the true objective is
@@ -399,13 +418,14 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
                 )
             obj = min(obj, objs[-1])
         # The gradient on the support, summed as in _lmo.
-        fw_gap = float(((Cf[idx] + p[I]) + q[J]) @ a) - g_s
+        fw_gap = float(((Cs + p[I]) + q[J]) @ a) - g_s
         objs.append(obj)
         gaps.append(fw_gap)
         sizes.append(idx.size)
+        support = idx.tolist()
         stop = (
             "gap" if fw_gap <= cfg.tol_gap
-            else "fixed_point" if s in idx
+            else "fixed_point" if s in support
             else "budget" if it + 1 == cfg.max_outer_iters
             else None
         )
@@ -421,9 +441,13 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
         curv = float(Hd1[si] - a @ Hd1[I]) + float(Hd2[sj] - a @ Hd2[J])
         step = min(fw_gap / (2.0 * curv), 1.0) if curv > 0.0 else 1.0
         if step == 1.0:
-            idx, a = idx[:0], a[:0]
-        path = _forest_cycle(idx.tolist(), s, n, cls1, cls2)
-        idx, a = np.append(idx, s), np.append((1.0 - step) * a, step)
+            idx, I, J, Cs, a, support = idx[:0], I[:0], J[:0], Cs[:0], a[:0], []
+        path = _forest_cycle(support, s, n, cls1, cls2)
+        idx = np.concatenate([idx, [s]])
+        I = np.concatenate([I, [si]])
+        J = np.concatenate([J, [sj]])
+        Cs = np.concatenate([Cs, [Cf[s]]])
+        a = np.concatenate([(1.0 - step) * a, [step]])
         if path is not None:
             # Along the cycle the class marginals, and so the penalty, are
             # fixed: f is linear in the push with slope <L, d>.  Pushing
@@ -432,16 +456,16 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
             # is needed.
             ring = np.array([idx.size - 1] + path)
             signs = np.resize([1.0, -1.0], ring.size)
-            if float(signs @ Cf[idx[ring]]) > 0.0:
+            if float(signs @ Cs[ring]) > 0.0:
                 signs = -signs
             shrink = ring[signs < 0.0]
-            drop = shrink[np.argmin(a[shrink])]
-            idx, a = np.delete(idx, drop), np.delete(a, drop)
+            keep = np.ones(idx.size, dtype=bool)
+            keep[shrink[np.argmin(a[shrink])]] = False
+            idx, I, J, Cs, a = (v[keep] for v in (idx, I, J, Cs, a))
 
-        I, J = np.divmod(idx, n)
-        Q = H1[np.ix_(I, I)] + H2[np.ix_(J, J)]
+        Q = H1[I[:, None], I] + H2[J[:, None], J]
         try:
-            a, fell_back = _support_qp(Q, Cf[idx] - 2.0 * w1[I] - 2.0 * w2[J])
+            a, fell_back = _support_qp(Q, Cs - 2.0 * w1[I] - 2.0 * w2[J])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 f"support solve failed: {exc}", trace()
@@ -449,8 +473,12 @@ def solve_simplified(C, G1, G2, cfg: SolverConfig):
         solves += 1
         fallbacks += fell_back
         keep = a > 0.0
-        idx, a = idx[keep], a[keep]
-        if np.array_equal(idx, idx_prev) and np.array_equal(a, a_prev):
+        idx, I, J, Cs, a = (v[keep] for v in (idx, I, J, Cs, a))
+        if (
+            idx.size == idx_prev.size
+            and (idx == idx_prev).all()
+            and (a == a_prev).all()
+        ):
             # The next iteration would repeat this one exactly.
             stop = "stall"
             break
@@ -568,7 +596,8 @@ def _prox_simplex(B, rho, center, y, max_iters):
         K = [[diag a - a a^T / N,   S - a b^T / N    ],
              [S^T - b a^T / N,      diag b - b b^T / N]],
 
-    positive semidefinite, so the matrix is SPD and factored by Cholesky.
+    positive semidefinite, so the matrix is SPD and factored by Cholesky
+    (LAPACK ``potrf``, then ``potrs``).
     ``D`` is quadratic on each active set, so once a full step lands on the
     active set it started from, ``y`` is the dual optimum up to rounding and
     the solve stops.
@@ -618,11 +647,11 @@ def _prox_simplex(B, rho, center, y, max_iters):
         M = eye + B @ K @ B / rho
         mu = 0.0
         while True:
-            d = cho_solve((cholesky(M + mu * eye), False), r, check_finite=False)
+            d = _potrs(_cholesky(M + mu * eye), r)[0]
             slope = 2.0 * float(r @ d)
             y_new = y + d
             alpha_new, dual_new, r_new = at(y_new)
-            if mu == 0.0 and np.array_equal(alpha_new > 0.0, S):
+            if mu == 0.0 and ((alpha_new > 0.0) == S).all():
                 return alpha_new, y_new, step, False
             if dual_new >= dual + _ARMIJO * slope:
                 break
@@ -659,7 +688,24 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     m, n = C.shape
     rho = cfg.rho_admm
 
+    objs = []
+    residuals = []
+    cap_hits = newton_steps = nnls_solves = 0
+    stop = "budget"
+
+    def trace(stop=None):
+        # The one SolveTrace of this route, as in solve_simplified.
+        return SolveTrace(
+            np.array(objs), np.array(residuals), cap_hits,
+            nnls_solves=nnls_solves, prox_newton_steps=newton_steps,
+            stop_reason=stop,
+        )
+
     H1, H2 = _penalty_matrices(G1, G2, cfg)
+    # A non-finite gram would fail inside eigh or the simplex projection,
+    # or reach the prox solve's unchecked factorization.
+    if not (np.all(np.isfinite(H1)) and np.all(np.isfinite(H2))):
+        raise NumericalFailureError("non-finite gram penalty form", trace())
     # The prox solve's dual works with B = H^{1/2}; eigenvalues below zero
     # are rounding and are clipped.
     B = block_diag(*(
@@ -680,19 +726,6 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     D1 = np.zeros((m, n))
     D2 = np.zeros((m, n))
     y = np.zeros(m + n)
-
-    objs = []
-    residuals = []
-    cap_hits = newton_steps = nnls_solves = 0
-    stop = "budget"
-
-    def trace(stop=None):
-        # The one SolveTrace of this route, as in solve_simplified.
-        return SolveTrace(
-            np.array(objs), np.array(residuals), cap_hits,
-            nnls_solves=nnls_solves, prox_newton_steps=newton_steps,
-            stop_reason=stop,
-        )
 
     for _ in range(cfg.max_outer_iters):
         center = 0.5 * (D1 + D2 + C / rho - F2 - F1)

@@ -6,14 +6,16 @@ solve for exact discrete OT, dense grid search over the joint simplex for
 the penalized objective, bisection on the threshold for the simplex
 projection, one kernel value per pair of points for the gram, and
 term-by-term sums and row-by-row text for the map's objective and the CSV
-writer.
+writer.  The support solve's oracle is the same algorithm written with
+scipy's checked wrappers of the LAPACK calls the library makes directly.
 """
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import linprog, nnls
 
 from mmdot.errors import ShapeError
 
@@ -216,3 +218,24 @@ def prox_kkt_gap(H1, H2, rho, center, alpha):
     f = float(u1 @ H1 @ u1 + u2 @ H2 @ u2 + rho * np.sum(shifted**2))
     g = 2.0 * (H1 @ u1)[:, None] + 2.0 * (H2 @ u2)[None, :] + 2.0 * rho * shifted
     return float(np.sum(g * alpha) - g.min()) / (1.0 + f)
+
+
+def support_qp_by_scipy_wrappers(Q, c):
+    """``solvers._support_qp`` written with scipy's checked wrappers of LAPACK.
+
+    The same algorithm through ``cholesky``, ``cho_solve`` and
+    ``solve_triangular``; the library calls LAPACK's ``potrf``, ``potrs``
+    and ``trtrs`` directly with the arguments these wrappers pass, so the
+    two agree bit for bit.
+    """
+    k = c.size
+    R = cholesky(Q)
+    z1, z2 = cho_solve((R, False), np.column_stack([c, np.ones(k)])).T
+    mu = -(2.0 + z1.sum()) / z2.sum()
+    a = -0.5 * (z1 + mu * z2)
+    if a.min() > 0.0:
+        return a / a.sum(), False
+    y = solve_triangular(R, -0.5 * c, trans="T")
+    b = nnls(np.vstack([R - y[:, None], np.ones(k)]),
+             np.concatenate([np.zeros(k), [1.0]]))[0]
+    return b / b.sum(), True

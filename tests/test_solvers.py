@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import linear_sum_assignment, nnls
 
 from oracles import (
@@ -11,6 +12,7 @@ from oracles import (
     prox_kkt_gap,
     simplex_grid_min,
     simplex_projection_by_bisection,
+    support_qp_by_scipy_wrappers,
 )
 
 from mmdot import solvers
@@ -21,11 +23,13 @@ from mmdot.experiments import make_gaussian_pair, sample_gaussian
 from mmdot.kernels import GAUSSIAN, KernelSpec, gram, squared_euclidean_cost
 from mmdot.solvers import (
     SolverConfig,
+    _cholesky,
     _forest_cycle,
     _lmo,
     _nnls_columns,
     _penalty_matrices,
     _point_classes,
+    _potrs,
     _project_simplex,
     _support_qp,
     derive_beta,
@@ -78,6 +82,16 @@ def blob_instance(seed, per_class=12, sigma=0.5):
     X, Y = blobs((0.0, 0.0)), blobs((1.5, -1.0))
     kernel = KernelSpec(GAUSSIAN, sigma=sigma)
     return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+
+
+def near_duplicate_instance(seed):
+    """6 points in 1-d with a near-duplicate source pair and target pair, sigma 1."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(6, 1))
+    Y = rng.normal(size=(6, 1))
+    X[1] = X[0] + 1e-6 * rng.normal(size=1)
+    Y[2] = Y[3] + 1e-6 * rng.normal(size=1)
+    return squared_euclidean_cost(X, Y), gram(GAUSS1, X, X), gram(GAUSS1, Y, Y)
 
 
 def assert_support_sizes(plan, trace):
@@ -316,7 +330,10 @@ class TestSolveSimplified:
             solve_simplified(
                 np.zeros((2, 1)), G1, np.ones((1, 1)), cfg
             )
-        assert "support solve" in str(info.value)
+        assert str(info.value) == (
+            "support solve failed: 2-th leading minor of the array is not "
+            "positive definite"
+        )
         assert info.value.trace.iters_used == 1
 
     def test_fixed_point_stops_before_budget(self):
@@ -336,21 +353,24 @@ class TestSolveSimplified:
         # singular; on these seeds the support solve returns its starting
         # iterate bit for bit at a gap far above the target, and every
         # later iteration would repeat it.
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(6, 1))
-        Y = rng.normal(size=(6, 1))
-        X[1] = X[0] + 1e-6 * rng.normal(size=1)
-        Y[2] = Y[3] + 1e-6 * rng.normal(size=1)
-        plan, trace = solve_simplified(
-            squared_euclidean_cost(X, Y), gram(GAUSS1, X, X), gram(GAUSS1, Y, Y),
-            SolverConfig(),
-        )
+        plan, trace = solve_simplified(*near_duplicate_instance(seed), SolverConfig())
         assert trace.stop_reason == "stall"
         assert trace.converged is False
         assert trace.iters_used <= 10
         assert trace.gap_or_residual_per_iter[-1] > SolverConfig().tol_gap
         assert abs(plan.alpha.sum() - 1.0) <= 1e-12
         assert_support_sizes(plan, trace)
+
+    def test_near_duplicate_factorization_failure(self):
+        # On this seed Q is numerically indefinite after 11 iterations; the
+        # failure carries LAPACK's leading-minor index in scipy's words.
+        with pytest.raises(NumericalFailureError) as info:
+            solve_simplified(*near_duplicate_instance(45), SolverConfig())
+        assert str(info.value) == (
+            "support solve failed: 6-th leading minor of the array is not "
+            "positive definite"
+        )
+        assert info.value.trace.iters_used == 11
 
     def test_stop_reasons_gap_and_budget(self):
         C, G1, G2 = gaussian_instance(4, m=6, n=6)
@@ -533,6 +553,28 @@ class TestSupportQp:
         # The KKT fast path serves exactly the interior optima.
         assert fell_back == (not np.all(best_a > 0.0))
 
+    @staticmethod
+    def spd_instance(k, seed, interior):
+        """``Q = I + B^T B / 4k``; a small ``c`` keeps the optimum interior."""
+        rng = np.random.default_rng([k, seed])
+        B = rng.normal(size=(k, k))
+        Q = np.eye(k) + B.T @ B / (4 * k)
+        return Q, rng.normal(scale=1e-3 / k if interior else 3.0, size=k)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 150])
+    def test_bitwise_as_scipy_wrappers(self, k):
+        routes = set()
+        for seed in range(4):
+            for interior in (True, False):
+                Q, c = self.spd_instance(k, seed, interior)
+                a, fell_back = _support_qp(Q, c)
+                a_ref, fell_back_ref = support_qp_by_scipy_wrappers(Q, c)
+                assert a.tobytes() == a_ref.tobytes()
+                assert fell_back == fell_back_ref
+                routes.add(fell_back)
+        # A single weight is always positive; larger supports take both routes.
+        assert routes == ({False} if k == 1 else {False, True})
+
     def test_brute_force_seeds_take_both_routes(self):
         routes = {_support_qp(*self.instance(seed))[1] for seed in range(20)}
         assert routes == {False, True}
@@ -557,6 +599,41 @@ class TestSupportQp:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [1.0, 0.0]])
         assert _point_classes(gram(GAUSS1, X, X).entries) == [0, 1, 0, 3, 1]
         assert _point_classes(gram(GAUSS1, X[:2], X[:2]).entries) == [0, 1]
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("k", [1, 2, 10, 48])
+    def test_newton_solve_bitwise_as_scipy_wrappers(self, k):
+        # The ADMM prox's Newton solve: potrf then potrs on an SPD matrix.
+        rng = np.random.default_rng(k)
+        B = rng.normal(size=(k, k))
+        M = np.eye(k) + B @ B.T
+        r = rng.normal(size=k)
+        d = _potrs(_cholesky(M), r)[0]
+        assert d.tobytes() == cho_solve((cholesky(M), False), r).tobytes()
+
+    def test_not_definite_raises_scipy_message(self):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            _cholesky(A)
+        with pytest.raises(np.linalg.LinAlgError) as scipys:
+            cholesky(A)
+        assert str(ours.value) == str(scipys.value) == (
+            "2-th leading minor of the array is not positive definite"
+        )
+
+
+class TestNonFiniteGram:
+    @pytest.mark.parametrize("solve", [solve_simplified, solve_admm])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_raises_before_any_iteration(self, solve, bad, side):
+        C, G1, G2 = gaussian_instance(3)
+        grams = [G1.entries.copy(), G2.entries.copy()]
+        grams[side][1, 2] = bad
+        with pytest.raises(NumericalFailureError) as info:
+            solve(C, *grams, SolverConfig(rho_admm=50.0, max_outer_iters=3))
+        assert info.value.trace.iters_used == 0
 
 
 class TestPenaltyMatrices:
