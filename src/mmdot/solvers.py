@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +37,9 @@ _EMD_SIZE_CAP = 10_000
 _LMO_BLOCK_CELLS = 32_768
 # Sufficient-increase fraction of the Armijo line search in the ADMM prox.
 _ARMIJO = 1e-4
+# Unit roundoff of float64, in the rounding bound of the NNLS warm start's
+# optimality check.
+_EPS = np.finfo(float).eps
 # LAPACK's Cholesky factorization and its two solves, called directly: at
 # the support sizes of the Frank-Wolfe loop (often under 30) scipy's
 # wrappers of them cost several times the factorization itself.
@@ -73,8 +77,11 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not 0 < self.rho_admm < np.inf:
             raise ValueError("rho_admm must be finite and positive")
-        if self.max_outer_iters <= 0 or self.max_inner_iters <= 0:
-            raise ValueError("iteration budgets must be positive")
+        for budget in (self.max_outer_iters, self.max_inner_iters):
+            # bool is an Integral, but True is no budget.
+            integral = isinstance(budget, Integral) and not isinstance(budget, bool)
+            if not (integral and budget > 0):
+                raise ValueError("iteration budgets must be positive integers")
         if not (0 < self.tol_gap < np.inf and 0 < self.tol_residual < np.inf):
             raise ValueError("tolerances must be finite and positive")
 
@@ -505,6 +512,14 @@ def derive_beta(alpha, G1) -> np.ndarray:
     return _nnls_columns(G1 / alpha.shape[0], alpha)[0]
 
 
+class _PinvCache(dict):
+    """``_nnls_columns``' pseudo-inverses keyed by passive row, and in
+    ``last`` the last guess with its ``(np.nonzero(guess), stacked rows)``:
+    most warm-started fits of an ADMM run repeat the previous guess."""
+
+    last = (None, None)
+
+
 def _nnls_columns(A, B, guess=None, cache=None):
     """Column-wise NNLS: row ``j`` of ``X`` is ``argmin_{x >= 0} ||B[:, j] - A x||``.
 
@@ -522,26 +537,34 @@ def _nnls_columns(A, B, guess=None, cache=None):
     1997, with the KKT check of Van Benthem & Keenan, J. Chemometrics
     2004).  Every column that fails the check, and every column when no
     guess is given, is one Lawson-Hanson active-set solve of scipy's
-    ``nnls``; ``solves`` counts them.
+    ``nnls``; ``solves`` counts them.  When ``cache`` is a ``_PinvCache``
+    it also keeps the last guess with its pseudo-inverse rows stacked in
+    cell order, and a call whose guess equals it reuses that stack; the
+    dict still holds one entry per distinct passive row.
     """
     p, k = A.shape
     X = np.zeros((B.shape[1], k))
     todo = np.any(B != 0.0, axis=0)
     if guess is not None:
-        pinvs = []
-        for P in guess:
-            key = P.tobytes()
-            Q = cache.get(key)
-            if Q is None:
-                Q = cache[key] = np.linalg.pinv(A[:, P])
-            pinvs.append(Q)
-        # One pseudo-inverse row per passive cell, in the row-major order of
-        # the cells, dotted with its column of B.
-        rows, cells = np.nonzero(guess)
-        X[rows, cells] = np.einsum("rp,rp->r", np.concatenate(pinvs), B.T[rows])
+        last, stacked = getattr(cache, "last", (None, None))
+        if not np.array_equal(last, guess):
+            pinvs = []
+            for P in guess:
+                key = P.tobytes()
+                Q = cache.get(key)
+                if Q is None:
+                    Q = cache[key] = np.linalg.pinv(A[:, P])
+                pinvs.append(Q)
+            # One pseudo-inverse row per passive cell, in the row-major order
+            # of the cells.
+            stacked = np.nonzero(guess), np.concatenate(pinvs)
+            if isinstance(cache, _PinvCache):
+                cache.last = guess.copy(), stacked
+        (rows, cells), pinv_rows = stacked
+        X[rows, cells] = np.einsum("rp,rp->r", pinv_rows, B.T[rows])
         absA = np.abs(A)
         W = (B - A @ X.T).T @ A
-        bound = (p + k + 1) * np.finfo(float).eps * (
+        bound = (p + k + 1) * _EPS * (
             (np.abs(B) + absA @ np.abs(X.T)).T @ absA
         )
         kkt = np.where(guess, X > 0.0, W <= bound).all(axis=1)
@@ -565,7 +588,7 @@ def _project_simplex(v):
     return np.maximum(v - css[r] / (r + 1), 0.0)
 
 
-def _prox_simplex(B, rho, center, y, max_iters):
+def _prox_simplex(B, rho, center, y, max_iters, newton):
     """Minimize the ADMM prox objective over the joint probability simplex.
 
         f(alpha) = ||alpha 1 - 1/m||^2_{H1} + ||alpha^T 1 - 1/n||^2_{H2}
@@ -597,7 +620,16 @@ def _prox_simplex(B, rho, center, y, max_iters):
              [S^T - b a^T / N,      diag b - b b^T / N]],
 
     positive semidefinite, so the matrix is SPD and factored by Cholesky
-    (LAPACK ``potrf``, then ``potrs``).
+    (LAPACK ``potrf``, then ``potrs``).  It depends on ``y`` only through
+    ``S``, and the warm-started solves of one ADMM run see few distinct
+    active sets, so the factor is kept (Boyd et al., "Distributed
+    optimization and statistical learning via ADMM", 2011, sec. 4.2): the
+    list ``newton`` holds the last undamped system factored in the run,
+    ``[S, M, R]`` with ``M = I + B K B / rho`` and ``R`` its Cholesky
+    factor (empty before the run's first step).  A step whose ``S`` equals
+    the kept one solves with the kept ``R``; any other step rebuilds ``K``,
+    ``M`` and ``R`` and replaces the entry in place, so the list holds one
+    (m+n) x (m+n) pair however many cycles run.
     ``D`` is quadratic on each active set, so once a full step lands on the
     active set it started from, ``y`` is the dual optimum up to rounding and
     the solve stops.
@@ -612,7 +644,10 @@ def _prox_simplex(B, rho, center, y, max_iters):
     well-scaled Newton steps that a shorter ray would shrink with it.  If
     the predicted rise ``2 (B u - y)^T d`` no longer changes ``D`` in
     floating point, ``y`` is optimal to working precision and the solve
-    stops there.
+    stops there.  ``D`` is evaluated only where this test or the Armijo
+    test reads it, from the arrays the projection was computed from; a
+    full step that keeps its active set never reads it.  Damped matrices
+    ``M + mu I`` are factored afresh and not kept.
 
     Starts at the dual point ``y`` (the previous cycle's, for a warm start)
     and takes at most ``max_iters`` Newton steps.  Returns
@@ -621,44 +656,54 @@ def _prox_simplex(B, rho, center, y, max_iters):
     m, n = center.shape
     k = m + n
     diag = np.arange(k)
+    eye = np.eye(k)
 
     def at(y):
+        # alpha(y), the arrays D(y) is read from, and B u - y.
         z = B @ y
         v = -center - (z[:m, None] + z[m:]) / rho
         alpha = _project_simplex(v.ravel()).reshape(m, n)
         u = np.concatenate([alpha.sum(axis=1) - 1.0 / m, alpha.sum(axis=0) - 1.0 / n])
-        dual = (
+        return alpha, (v, z), B @ u - y
+
+    def dual(y, alpha, v, z):
+        return (
             rho * float(np.sum(alpha * (alpha - 2.0 * v)))
             - 2.0 * (z[:m].sum() / m + z[m:].sum() / n)
             - float(y @ y)
         )
-        return alpha, dual, B @ u - y
 
-    alpha, dual, r = at(y)
-    eye = np.eye(k)
+    alpha, vz, r = at(y)
+    dual_y = None
     for step in range(1, max_iters + 1):
         S = alpha > 0.0
-        Sf = S.astype(float)
-        ab = np.concatenate([Sf.sum(axis=1), Sf.sum(axis=0)])
-        K = np.outer(ab, -1.0 / ab[:m].sum() * ab)
-        K[diag, diag] += ab
-        K[:m, m:] += Sf
-        K[m:, :m] += Sf.T
-        M = eye + B @ K @ B / rho
+        if not newton or not (newton[0] == S).all():
+            Sf = S.astype(float)
+            ab = np.concatenate([Sf.sum(axis=1), Sf.sum(axis=0)])
+            K = np.outer(ab, -1.0 / ab[:m].sum() * ab)
+            K[diag, diag] += ab
+            K[:m, m:] += Sf
+            K[m:, :m] += Sf.T
+            M = eye + B @ K @ B / rho
+            newton[:] = S, M, _cholesky(M)
+        _, M, R = newton
         mu = 0.0
         while True:
-            d = _potrs(_cholesky(M + mu * eye), r)[0]
+            d = _potrs(R if mu == 0.0 else _cholesky(M + mu * eye), r)[0]
             slope = 2.0 * float(r @ d)
             y_new = y + d
-            alpha_new, dual_new, r_new = at(y_new)
+            alpha_new, vz_new, r_new = at(y_new)
             if mu == 0.0 and ((alpha_new > 0.0) == S).all():
                 return alpha_new, y_new, step, False
-            if dual_new >= dual + _ARMIJO * slope:
+            if dual_y is None:
+                dual_y = dual(y, alpha, *vz)
+            dual_new = dual(y_new, alpha_new, *vz_new)
+            if dual_new >= dual_y + _ARMIJO * slope:
                 break
-            if dual + slope == dual:
+            if dual_y + slope == dual_y:
                 return alpha, y, step, False
             mu = max(4.0 * mu, 1.0)
-        y, alpha, dual, r = y_new, alpha_new, dual_new, r_new
+        y, alpha, vz, dual_y, r = y_new, alpha_new, vz_new, dual_new, r_new
     return alpha, y, max_iters, True
 
 
@@ -676,9 +721,10 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     cycle, with pseudo-inverses cached for the whole solve, and keep that
     fit when it meets the NNLS optimality conditions; a column that fails
     them goes to scipy's ``nnls`` as in the first cycle (see
-    ``_nnls_columns``).  Stops when both primal residuals fall below
-    ``cfg.tol_residual``; running out of budget returns ``converged=False``
-    rather than raising.  The plan is the last cycle's ``alpha``, ``beta``
+    ``_nnls_columns``).  The prox solves of the run share one kept Newton
+    factor, refactored only when the active set of the plan changes.  Stops
+    when both primal residuals fall below ``cfg.tol_residual``; running out
+    of budget returns ``converged=False`` rather than raising.  The plan is the last cycle's ``alpha``, ``beta``
     and ``gamma`` as computed, the ones the residuals were read from.  The
     trace's ``inner_cap_hits`` counts the cycles whose prox solve ran out of
     steps, ``prox_newton_steps`` the Newton steps of all of them and
@@ -718,14 +764,17 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     # Passive sets of the last beta/gamma fit and the pseudo-inverses of
     # their gram columns, for the warm-started NNLS of the next cycle.
     guess1 = guess2 = None
-    pinvs1 = {}
-    pinvs2 = {}
+    pinvs1 = _PinvCache()
+    pinvs2 = _PinvCache()
     # The consensus products G1 beta^T / m and gamma G2 / n, kept for the
     # next cycle's prox center.
     F1 = F2 = np.zeros((m, n))
     D1 = np.zeros((m, n))
     D2 = np.zeros((m, n))
     y = np.zeros(m + n)
+    # The prox solve's undamped Newton system, kept across cycles while its
+    # active set holds (see _prox_simplex).
+    newton = []
 
     for _ in range(cfg.max_outer_iters):
         center = 0.5 * (D1 + D2 + C / rho - F2 - F1)
@@ -734,7 +783,7 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
                 "non-finite prox center in consensus iteration", trace()
             )
         alpha, y, steps, capped = _prox_simplex(
-            B, rho, center, y, cfg.max_inner_iters
+            B, rho, center, y, cfg.max_inner_iters, newton
         )
         newton_steps += steps
         cap_hits += capped

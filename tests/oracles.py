@@ -7,7 +7,9 @@ the penalized objective, bisection on the threshold for the simplex
 projection, one kernel value per pair of points for the gram, and
 term-by-term sums and row-by-row text for the map's objective and the CSV
 writer.  The support solve's oracle is the same algorithm written with
-scipy's checked wrappers of the LAPACK calls the library makes directly.
+scipy's checked wrappers of the LAPACK calls the library makes directly,
+and the ADMM prox's oracle the same Newton solve with nothing kept
+between steps.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import linprog, nnls
 
 from mmdot.errors import ShapeError
+from mmdot.solvers import _ARMIJO, _project_simplex
 
 
 @lru_cache(maxsize=None)
@@ -239,3 +242,57 @@ def support_qp_by_scipy_wrappers(Q, c):
     b = nnls(np.vstack([R - y[:, None], np.ones(k)]),
              np.concatenate([np.zeros(k), [1.0]]))[0]
     return b / b.sum(), True
+
+
+def prox_simplex_rebuilt(B, rho, center, y, max_iters, newton=None):
+    """``solvers._prox_simplex`` rebuilding everything at every Newton step.
+
+    The same semismooth Newton solve, written without the kept factor and
+    the deferred dual: ``K``, ``M = I + B K B / rho``, its Cholesky factor
+    (scipy's ``cholesky`` and ``cho_solve``, which agree with the library's
+    direct LAPACK calls bit for bit) and the dual value ``D`` are computed
+    afresh at every step and every point.  ``newton`` is accepted and
+    ignored.
+    """
+    m, n = center.shape
+    k = m + n
+    diag = np.arange(k)
+
+    def at(y):
+        z = B @ y
+        v = -center - (z[:m, None] + z[m:]) / rho
+        alpha = _project_simplex(v.ravel()).reshape(m, n)
+        u = np.concatenate([alpha.sum(axis=1) - 1.0 / m, alpha.sum(axis=0) - 1.0 / n])
+        dual = (
+            rho * float(np.sum(alpha * (alpha - 2.0 * v)))
+            - 2.0 * (z[:m].sum() / m + z[m:].sum() / n)
+            - float(y @ y)
+        )
+        return alpha, dual, B @ u - y
+
+    alpha, dual, r = at(y)
+    eye = np.eye(k)
+    for step in range(1, max_iters + 1):
+        S = alpha > 0.0
+        Sf = S.astype(float)
+        ab = np.concatenate([Sf.sum(axis=1), Sf.sum(axis=0)])
+        K = np.outer(ab, -1.0 / ab[:m].sum() * ab)
+        K[diag, diag] += ab
+        K[:m, m:] += Sf
+        K[m:, :m] += Sf.T
+        M = eye + B @ K @ B / rho
+        mu = 0.0
+        while True:
+            d = cho_solve((cholesky(M + mu * eye), False), r)
+            slope = 2.0 * float(r @ d)
+            y_new = y + d
+            alpha_new, dual_new, r_new = at(y_new)
+            if mu == 0.0 and ((alpha_new > 0.0) == S).all():
+                return alpha_new, y_new, step, False
+            if dual_new >= dual + _ARMIJO * slope:
+                break
+            if dual + slope == dual:
+                return alpha, y, step, False
+            mu = max(4.0 * mu, 1.0)
+        y, alpha, dual, r = y_new, alpha_new, dual_new, r_new
+    return alpha, y, max_iters, True

@@ -5,11 +5,13 @@ import pytest
 from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import linear_sum_assignment, nnls
 
+import oracles
 from oracles import (
     emd_by_linear_program,
     emd_by_vertex_enumeration,
     penalized_objective,
     prox_kkt_gap,
+    prox_simplex_rebuilt,
     simplex_grid_min,
     simplex_projection_by_bisection,
     support_qp_by_scipy_wrappers,
@@ -110,6 +112,16 @@ def slope_study_instance(seed, m):
     return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
 
 
+def cli_scale_instance():
+    """m = n = 150 samples shaped like the CLI round trip: d = 5, sigma 0.5."""
+    pair = make_gaussian_pair(5, seed=901)
+    rng = np.random.default_rng(901)
+    X = sample_gaussian(pair.mean1, pair.cov1, 150, rng)
+    Y = sample_gaussian(pair.mean2, pair.cov2, 150, rng)
+    kernel = KernelSpec(GAUSSIAN, sigma=0.5)
+    return squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+
+
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
@@ -132,11 +144,20 @@ class TestSolverConfig:
             {"rho_admm": np.inf},
             {"tol_gap": np.inf},
             {"tol_residual": np.inf},
+            {"max_outer_iters": 2.5},
+            {"max_inner_iters": 2.5},
+            {"max_outer_iters": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integer_budgets_accepted(self):
+        C, G1, G2 = gaussian_instance(0)
+        cfg = SolverConfig(max_outer_iters=np.int64(2), max_inner_iters=np.int32(300))
+        assert solve_simplified(C, G1, G2, cfg)[1].iters_used <= 2
+        assert solve_admm(C, G1, G2, cfg)[1].iters_used == 2
 
 
 class TestSolveSimplified:
@@ -754,12 +775,7 @@ class TestSolveAdmm:
         # m = n = 150 samples shaped like the CLI round trip (sigma 0.5,
         # rho 200): every prox solve finishes within the default step
         # budget, and the first one, whose center is C / (2 rho), is exact.
-        pair = make_gaussian_pair(5, seed=901)
-        rng = np.random.default_rng(901)
-        X = sample_gaussian(pair.mean1, pair.cov1, 150, rng)
-        Y = sample_gaussian(pair.mean2, pair.cov2, 150, rng)
-        kernel = KernelSpec(GAUSSIAN, sigma=0.5)
-        C, G1, G2 = squared_euclidean_cost(X, Y), gram(kernel, X, X), gram(kernel, Y, Y)
+        C, G1, G2 = cli_scale_instance()
         rho = 200.0
         _, trace = solve_admm(C, G1, G2, SolverConfig(rho_admm=rho, max_outer_iters=3))
         assert trace.iters_used == 3 and trace.inner_cap_hits == 0
@@ -833,6 +849,103 @@ class TestSolveAdmm:
         assert np.array_equal(p1.gamma, p2.gamma)
 
 
+def prox_case(case):
+    """Cost, grams and config of an ADMM instance named ``case``.
+
+    ``blob<seed>``: the domain-adaptation settings (rho 200, 40 cycles);
+    ``hard<rho>-<seed>-<m>x<n>``: one cold prox solve under a heavy penalty;
+    ``gauss<m>x<n>``: criterion 4's settings on a rectangular instance;
+    ``cli150``: three cycles at the CLI round trip's size.
+    """
+    if case.startswith("blob"):
+        cfg = SolverConfig(
+            rho_admm=200.0, max_outer_iters=40, max_inner_iters=300,
+            tol_residual=1e-300,
+        )
+        return (*blob_instance(int(case[4:])), cfg)
+    if case.startswith("hard"):
+        rho, seed, shape = case[4:].split("-")
+        m, n = map(int, shape.split("x"))
+        cfg = SolverConfig(
+            lambda1=1e3, lambda2=1e3, nu1=1e3, nu2=1e3, rho_admm=float(rho),
+            max_outer_iters=1,
+        )
+        return (*gaussian_instance(int(seed), m=m, n=n), cfg)
+    if case.startswith("gauss"):
+        m, n = map(int, case[5:].split("x"))
+        cfg = SolverConfig(
+            rho_admm=200.0, max_outer_iters=500, max_inner_iters=300,
+            tol_residual=1e-4, tol_gap=1e-9,
+        )
+        return (*gaussian_instance(7, m=m, n=n), cfg)
+    return (*cli_scale_instance(), SolverConfig(rho_admm=200.0, max_outer_iters=3))
+
+
+def counting(calls, fn):
+    """``fn`` recording the bytes of its one argument in ``calls``."""
+    def wrapped(A):
+        calls.append(A.tobytes())
+        return fn(A)
+    return wrapped
+
+
+HARD_PROX_CASES = [
+    f"hard{rho}-{seed}-{shape}"
+    for rho in ("0.01", "0.1") for seed in range(3) for shape in ("6x8", "12x12")
+]
+
+
+class TestProxKeptFactor:
+    """The prox solve's kept Newton factor and deferred dual against the
+    solve that rebuilds both at every step (``oracles.prox_simplex_rebuilt``)."""
+
+    @staticmethod
+    def both(monkeypatch, case):
+        """Factorizations and results of ``solve_admm`` as is, then with the
+        rebuilding prox patched in."""
+        C, G1, G2, cfg = prox_case(case)
+        kept, rebuilt = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_cholesky", counting(kept, solvers._cholesky))
+            ours = solve_admm(C, G1, G2, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_prox_simplex", prox_simplex_rebuilt)
+            patch.setattr(oracles, "cholesky", counting(rebuilt, oracles.cholesky))
+            theirs = solve_admm(C, G1, G2, cfg)
+        return kept, rebuilt, ours, theirs
+
+    @pytest.mark.parametrize(
+        "case",
+        ["blob0", "blob1", "blob2", *HARD_PROX_CASES, "gauss4x7", "gauss7x4", "cli150"],
+    )
+    def test_bitwise_as_rebuilt(self, monkeypatch, case):
+        kept, rebuilt, (plan, trace), (ref, ref_trace) = self.both(monkeypatch, case)
+        for name in ("alpha", "beta", "gamma"):
+            assert getattr(plan, name).tobytes() == getattr(ref, name).tobytes()
+        for name in ("objective_per_iter", "gap_or_residual_per_iter"):
+            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes()
+        for name in ("prox_newton_steps", "inner_cap_hits", "nnls_solves", "stop_reason"):
+            assert getattr(trace, name) == getattr(ref_trace, name)
+        if case.startswith("hard"):
+            # Some step was damped: it factored more than one matrix.
+            assert len(rebuilt) > ref_trace.prox_newton_steps
+
+    @pytest.mark.parametrize("case", ["blob0", "blob1", "blob2"])
+    def test_factored_once_per_active_set_change(self, monkeypatch, case):
+        kept, rebuilt, (_, trace), _ = self.both(monkeypatch, case)
+        # No step is damped here: the rebuilding solve factors one
+        # undamped matrix per Newton step, and the kept factor is refreshed
+        # exactly where that matrix (so the active set) changes.
+        assert len(rebuilt) == trace.prox_newton_steps >= 40
+        changes = [i for i in range(1, len(rebuilt)) if rebuilt[i] != rebuilt[i - 1]]
+        assert kept == [rebuilt[0]] + [rebuilt[i] for i in changes]
+        assert len(kept) == len(changes) + 1 <= 4
+        if case == "blob0":
+            # Here the active set goes A -> B -> A, and A is factored
+            # again: only the last system is kept.
+            assert len(set(kept)) < len(kept)
+
+
 def assert_close_rel(actual, expected, rel=1e-12):
     """Entry-wise agreement to ``rel`` of the largest magnitude of ``expected``."""
     scale = float(np.abs(expected).max())
@@ -902,6 +1015,22 @@ class TestNnlsColumns:
         X, solves = _nnls_columns(A, B, G, {})
         assert solves == B.shape[1] - 1
         assert_close_rel(X, ref)
+
+    @pytest.mark.parametrize("side", ["beta", "gamma"])
+    def test_repeated_guess_reuses_stack_bitwise(self, side):
+        # Guesses G, G, G', G through one solve-long cache: each fit equals
+        # a fresh call's bit for bit, and the dict keeps one entry per
+        # distinct passive row.
+        A, B, _, T = self.case(side)
+        G2 = T.copy()
+        G2[0] = ~G2[0]
+        cache = solvers._PinvCache()
+        for G in (T, T, G2, T):
+            X, solves = _nnls_columns(A, B, G, cache)
+            X_fresh, solves_fresh = _nnls_columns(A, B, G, {})
+            assert X.tobytes() == X_fresh.tobytes() and solves == solves_fresh
+        rows = {row.tobytes() for row in T} | {row.tobytes() for row in G2}
+        assert len(cache) == len(rows)
 
     def test_zero_column_gives_zero_row(self):
         A, B, _, T = self.case("beta")
