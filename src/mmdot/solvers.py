@@ -512,14 +512,6 @@ def derive_beta(alpha, G1) -> np.ndarray:
     return _nnls_columns(G1 / alpha.shape[0], alpha)[0]
 
 
-class _PinvCache(dict):
-    """``_nnls_columns``' pseudo-inverses keyed by passive row, and in
-    ``last`` the last guess with its ``(np.nonzero(guess), stacked rows)``:
-    most warm-started fits of an ADMM run repeat the previous guess."""
-
-    last = (None, None)
-
-
 def _nnls_columns(A, B, guess=None, cache=None):
     """Column-wise NNLS: row ``j`` of ``X`` is ``argmin_{x >= 0} ||B[:, j] - A x||``.
 
@@ -537,31 +529,23 @@ def _nnls_columns(A, B, guess=None, cache=None):
     1997, with the KKT check of Van Benthem & Keenan, J. Chemometrics
     2004).  Every column that fails the check, and every column when no
     guess is given, is one Lawson-Hanson active-set solve of scipy's
-    ``nnls``; ``solves`` counts them.  When ``cache`` is a ``_PinvCache``
-    it also keeps the last guess with its pseudo-inverse rows stacked in
-    cell order, and a call whose guess equals it reuses that stack; the
-    dict still holds one entry per distinct passive row.
+    ``nnls``; ``solves`` counts them.
     """
     p, k = A.shape
     X = np.zeros((B.shape[1], k))
     todo = np.any(B != 0.0, axis=0)
     if guess is not None:
-        last, stacked = getattr(cache, "last", (None, None))
-        if not np.array_equal(last, guess):
-            pinvs = []
-            for P in guess:
-                key = P.tobytes()
-                Q = cache.get(key)
-                if Q is None:
-                    Q = cache[key] = np.linalg.pinv(A[:, P])
-                pinvs.append(Q)
-            # One pseudo-inverse row per passive cell, in the row-major order
-            # of the cells.
-            stacked = np.nonzero(guess), np.concatenate(pinvs)
-            if isinstance(cache, _PinvCache):
-                cache.last = guess.copy(), stacked
-        (rows, cells), pinv_rows = stacked
-        X[rows, cells] = np.einsum("rp,rp->r", pinv_rows, B.T[rows])
+        pinvs = []
+        for P in guess:
+            key = P.tobytes()
+            Q = cache.get(key)
+            if Q is None:
+                Q = cache[key] = np.linalg.pinv(A[:, P])
+            pinvs.append(Q)
+        # One pseudo-inverse row per passive cell, in the row-major order of
+        # the cells, dotted with its column of B.
+        rows, cells = np.nonzero(guess)
+        X[rows, cells] = np.einsum("rp,rp->r", np.concatenate(pinvs), B.T[rows])
         absA = np.abs(A)
         W = (B - A @ X.T).T @ A
         bound = (p + k + 1) * _EPS * (
@@ -724,8 +708,8 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     ``_nnls_columns``).  The prox solves of the run share one kept Newton
     factor, refactored only when the active set of the plan changes.  Stops
     when both primal residuals fall below ``cfg.tol_residual``; running out
-    of budget returns ``converged=False`` rather than raising.  The plan is the last cycle's ``alpha``, ``beta``
-    and ``gamma`` as computed, the ones the residuals were read from.  The
+    of budget returns ``converged=False`` rather than raising.  The plan is
+    the last cycle's ``alpha``, ``beta`` and ``gamma`` as computed, the ones the residuals were read from.  The
     trace's ``inner_cap_hits`` counts the cycles whose prox solve ran out of
     steps, ``prox_newton_steps`` the Newton steps of all of them and
     ``nnls_solves`` the column fits that went to scipy's ``nnls``.
@@ -764,8 +748,8 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     # Passive sets of the last beta/gamma fit and the pseudo-inverses of
     # their gram columns, for the warm-started NNLS of the next cycle.
     guess1 = guess2 = None
-    pinvs1 = _PinvCache()
-    pinvs2 = _PinvCache()
+    pinvs1 = {}
+    pinvs2 = {}
     # The consensus products G1 beta^T / m and gamma G2 / n, kept for the
     # next cycle's prox center.
     F1 = F2 = np.zeros((m, n))

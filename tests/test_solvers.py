@@ -1016,22 +1016,6 @@ class TestNnlsColumns:
         assert solves == B.shape[1] - 1
         assert_close_rel(X, ref)
 
-    @pytest.mark.parametrize("side", ["beta", "gamma"])
-    def test_repeated_guess_reuses_stack_bitwise(self, side):
-        # Guesses G, G, G', G through one solve-long cache: each fit equals
-        # a fresh call's bit for bit, and the dict keeps one entry per
-        # distinct passive row.
-        A, B, _, T = self.case(side)
-        G2 = T.copy()
-        G2[0] = ~G2[0]
-        cache = solvers._PinvCache()
-        for G in (T, T, G2, T):
-            X, solves = _nnls_columns(A, B, G, cache)
-            X_fresh, solves_fresh = _nnls_columns(A, B, G, {})
-            assert X.tobytes() == X_fresh.tobytes() and solves == solves_fresh
-        rows = {row.tobytes() for row in T} | {row.tobytes() for row in G2}
-        assert len(cache) == len(rows)
-
     def test_zero_column_gives_zero_row(self):
         A, B, _, T = self.case("beta")
         for G in (T, np.ones_like(T), None):
