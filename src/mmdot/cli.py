@@ -68,7 +68,7 @@ def _manifest(args, input_paths, runtime):
     return {
         "command": args.command,
         "parameters": params,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "input_digests": {p: file_digest(p) for p in input_paths if p},
         "runtime_seconds": runtime,

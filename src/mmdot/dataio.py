@@ -158,19 +158,16 @@ def _atomic_write(path, payload: str) -> None:
         raise
 
 
-def write_matrix_csv(path, M, header=None, extra_columns=None) -> None:
-    """Write a matrix as CSV with a header row, atomically.
+def write_matrix_csv(path, M, extra_columns=None) -> None:
+    """Write a matrix as CSV with a header row ``y0,y1,...``, atomically.
 
     ``extra_columns`` is an optional list of ``(name, values)`` of integers
     or flags, appended after the numeric columns (used for e.g. the
     fallback flag).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if header is None:
-        header = [f"y{k}" for k in range(M.shape[1])]
-    names = list(header)
     extras = extra_columns or []
-    names += [name for name, _ in extras]
+    names = [f"y{k}" for k in range(M.shape[1])] + [name for name, _ in extras]
     # Built column by column: tolist() yields Python floats, whose repr is
     # the shortest round trip, and Python ints and bools, whose str is the
     # one their numpy scalars print.

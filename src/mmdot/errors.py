@@ -10,9 +10,9 @@ class EmptyInputError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A non-finite value was encountered during iteration.
-
-    Carries the partial trace (if any) on the ``trace`` attribute.
+    """A non-finite value, a failed support factorization, an objective
+    increase or a failed transportation LP; carries the partial trace (if
+    any) on the ``trace`` attribute.
     """
 
     def __init__(self, message, trace=None):

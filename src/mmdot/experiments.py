@@ -53,10 +53,6 @@ class GaussianPair:
                 raise ValueError(f"{name} trace {np.trace(cov)} != 1")
             object.__setattr__(self, name, cov)
 
-    @property
-    def dim(self):
-        return self.cov1.shape[0]
-
 
 @dataclass
 class ExperimentReport:
@@ -102,11 +98,11 @@ def make_gaussian_pair(d: int, seed: int) -> GaussianPair:
     return GaussianPair(mean1=zero, mean2=zero, cov1=covs[0], cov2=covs[1])
 
 
-def _sym_sqrt_and_pinv_sqrt(cov, floor=1e-12):
+def _sym_sqrt_and_pinv_sqrt(cov):
     vals, vecs = np.linalg.eigh(cov)
     vals = np.maximum(vals, 0.0)
     sq = np.sqrt(vals)
-    inv = np.where(sq > floor, 1.0 / np.maximum(sq, floor), 0.0)
+    inv = np.where(sq > 1e-12, 1.0 / np.maximum(sq, 1e-12), 0.0)
     return (vecs * sq) @ vecs.T, (vecs * inv) @ vecs.T
 
 
@@ -115,7 +111,7 @@ def gaussian_map_matrix(pair: GaussianPair) -> np.ndarray:
 
     A = cov1^{-1/2} (cov1^{1/2} cov2 cov1^{1/2})^{1/2} cov1^{-1/2}, computed
     through symmetric eigendecompositions with negative eigenvalues clamped
-    to zero and pseudo-inverse semantics below the 1e-12 eigenvalue floor.
+    to zero and pseudo-inverse semantics for square roots at most 1e-12.
     """
     s1, s1_inv = _sym_sqrt_and_pinv_sqrt(pair.cov1)
     mid = s1 @ pair.cov2 @ s1
@@ -217,6 +213,8 @@ def run_gaussian_experiment(
     if not m_values or min(m_values) < 1:
         raise ValueError("m_values must hold at least one sample count, each >= 1")
     KernelSpec(GAUSSIAN, sigma=sigma)  # a bad sigma fails here, not per record
+    if method not in ("fw", "admm"):
+        raise ValueError(f"unknown method {method!r}")
     _check_emd_size(max(m_values), max(m_values))
     pair = make_gaussian_pair(d, seed=cfg.seed)
     A_true = gaussian_map_matrix(pair)

@@ -50,10 +50,6 @@ class GramMatrix:
 
     entries: np.ndarray
 
-    @property
-    def shape(self):
-        return self.entries.shape
-
 
 def _as_points(A) -> np.ndarray:
     """The one reader of a sample set: a float array with one point per row,

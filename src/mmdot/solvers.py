@@ -48,16 +48,18 @@ _potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=flo
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization weights and iteration budgets.
+    """Regularization weights, iteration budgets and stopping tolerances.
 
     ``lambda1``/``lambda2`` weight the row/column marginal residuals in the
     plain gram quadratic forms, ``nu1``/``nu2`` the same residuals in the
     element-wise-squared gram forms.  ``rho_admm`` is the ADMM penalty
     (fixed, no adaptive schedule, so traces are reproducible).
     ``max_outer_iters`` bounds the outer Frank-Wolfe iterations (one support
-    solve each) or the ADMM cycles; ``max_inner_iters`` bounds the
-    Newton steps of the prox solve in each ADMM cycle (see
-    ``_prox_simplex``).  ``tol_gap`` is the Frank-Wolfe duality-gap stop.
+    solve each) or the ADMM cycles; ``max_inner_iters`` bounds the Newton
+    steps of the prox solve in each ADMM cycle (see ``_prox_simplex``).
+    ``tol_gap`` is the Frank-Wolfe duality-gap stop, ``tol_residual`` the
+    ADMM stop on both primal residuals.  No solver reads ``seed``: the
+    Gaussian study draws its data from it and domain adaptation records it.
     """
 
     lambda1: float = 10.0
@@ -151,14 +153,7 @@ def _penalty_matrices(G1, G2, cfg):
     ``<C, alpha> + u1^T H1 u1 + u2^T H2 u2``; the loss term needs no
     embedding of the cost, since ``<c, phi(x_i) (x) phi(y_j)> = c(x_i, y_j)``.
     """
-    # Built in place: the bits of lam * G + nu * (G * G), with no m x m
-    # temporary but lam * G.
-    H1, H2 = G1 * G1, G2 * G2
-    H1 *= cfg.nu1
-    H2 *= cfg.nu2
-    H1 += cfg.lambda1 * G1
-    H2 += cfg.lambda2 * G2
-    return H1, H2
+    return cfg.lambda1 * G1 + cfg.nu1 * (G1 * G1), cfg.lambda2 * G2 + cfg.nu2 * (G2 * G2)
 
 
 def _cholesky(A):
@@ -709,10 +704,11 @@ def solve_admm(C, G1, G2, cfg: SolverConfig):
     factor, refactored only when the active set of the plan changes.  Stops
     when both primal residuals fall below ``cfg.tol_residual``; running out
     of budget returns ``converged=False`` rather than raising.  The plan is
-    the last cycle's ``alpha``, ``beta`` and ``gamma`` as computed, the ones the residuals were read from.  The
-    trace's ``inner_cap_hits`` counts the cycles whose prox solve ran out of
-    steps, ``prox_newton_steps`` the Newton steps of all of them and
-    ``nnls_solves`` the column fits that went to scipy's ``nnls``.
+    the last cycle's ``alpha``, ``beta`` and ``gamma`` as computed, the ones
+    the residuals were read from.  The trace's ``inner_cap_hits`` counts the
+    cycles whose prox solve ran out of steps, ``prox_newton_steps`` the
+    Newton steps of all of them and ``nnls_solves`` the column fits that
+    went to scipy's ``nnls``.
     """
     C, G1, G2 = _check_shapes(C, G1, G2)
     m, n = C.shape

@@ -15,8 +15,8 @@ from mmdot import transport_map
 from mmdot.transport_map import load_model, save_model
 
 
-def write_points(path, M, header=None):
-    write_matrix_csv(path, np.asarray(M, dtype=float), header=header)
+def write_points(path, M):
+    write_matrix_csv(path, np.asarray(M, dtype=float))
     return str(path)
 
 
@@ -28,7 +28,7 @@ def write_labeled(path, rng, rows):
     """A labeled 2-d CSV of ``rows`` points labeled 0, 1, 0, ...; ``rows=0``
     writes the header only."""
     write_matrix_csv(
-        path, rng.normal(size=(rows, 2)), header=["f0", "f1"],
+        path, rng.normal(size=(rows, 2)),
         extra_columns=[("label", [k % 2 for k in range(rows)])],
     )
     return str(path)
@@ -654,10 +654,7 @@ class TestExperimentCommands:
             )
             feats = np.vstack([a, b])
             labels = [0] * per_class + [1] * per_class
-            write_matrix_csv(
-                path, feats, header=["f0", "f1"],
-                extra_columns=[("label", labels)],
-            )
+            write_matrix_csv(path, feats, extra_columns=[("label", labels)])
             return str(path)
 
         src = blobs(workdir / "src.csv", 12)
@@ -678,7 +675,7 @@ class TestExperimentCommands:
         for name in ("src.csv", "tt.csv", "te.csv"):
             paths.append(str(workdir / name))
             write_matrix_csv(
-                paths[-1], rng.normal(size=(6, 2)), header=["f0", "f1"],
+                paths[-1], rng.normal(size=(6, 2)),
                 extra_columns=[("label", [0, 1] * 3)],
             )
         out = workdir / "da.json"

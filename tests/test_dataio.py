@@ -31,8 +31,8 @@ def test_write_matrix_csv_exact_text(tmp_path):
 
 def test_write_matrix_csv_integer_input_written_as_floats(tmp_path):
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, np.array([[1, -2]]), header=["a", "b"])
-    assert path.read_text() == "a,b\n1.0,-2.0\n"
+    write_matrix_csv(path, np.array([[1, -2]]))
+    assert path.read_text() == "y0,y1\n1.0,-2.0\n"
 
 
 def csv_module_rows(path):

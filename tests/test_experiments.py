@@ -229,6 +229,14 @@ class TestRunGaussianExperiment:
                 cfg=SolverConfig(), oos_count=oos_count,
             )
 
+    def test_rejects_unknown_method(self):
+        # Before the first record: a bad method is not a failed record.
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            run_gaussian_experiment(
+                d=2, m_values=[8], sigma=1.0, repeats=1, cfg=SolverConfig(),
+                oos_count=8, method="bogus",
+            )
+
     def test_rejects_empty_m_values(self):
         with pytest.raises(ValueError, match="at least one sample count"):
             run_gaussian_experiment(

@@ -660,7 +660,8 @@ class TestNonFiniteGram:
 class TestPenaltyMatrices:
     @pytest.mark.parametrize("case", ["gauss0", "gauss3", "repeated7", "repeated45"])
     def test_bitwise_as_sum_of_forms(self, case):
-        # Built in place, each form keeps the bits of lam G + nu G*G.
+        # Each form keeps the bits of lam G + nu G*G, so a rewrite of the
+        # build (in place, or with the operands reordered) must keep them.
         _, G1, G2 = named_instance(case)
         for cfg in (
             SolverConfig(),
