@@ -76,26 +76,15 @@ def _manifest(args, input_paths, runtime):
 
 
 def _solver_config(args):
+    """The solver flags as a ``SolverConfig``; absent ADMM flags keep their defaults."""
+    admm = {}
+    if "rho" in args:
+        admm = dict(rho_admm=args.rho, max_inner_iters=args.max_inner_iters,
+                    tol_residual=args.tol_residual)
     return SolverConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        nu1=args.nu1,
-        nu2=args.nu2,
-        rho_admm=args.rho,
-        max_outer_iters=args.max_iters,
-        max_inner_iters=args.max_inner_iters,
-        tol_gap=args.tol,
-        tol_residual=args.tol_residual,
-        seed=args.seed,
+        lambda1=args.lambda1, lambda2=args.lambda2, nu1=args.nu1, nu2=args.nu2,
+        max_outer_iters=args.max_iters, tol_gap=args.tol, seed=args.seed, **admm
     )
-
-
-def _kernel_spec(args):
-    if args.kernel == "gaussian":
-        if args.sigma is None:
-            raise ValueError("--kernel gaussian requires --sigma")
-        return KernelSpec(GAUSSIAN, sigma=args.sigma)
-    return KernelSpec(KRONECKER_DELTA)
 
 
 def _read_cost(path):
@@ -112,7 +101,7 @@ def cmd_solve(args):
         raise ValueError("--emit-model requires --cost sqeuclidean")
     X = read_matrix_csv(args.source)
     Y = read_matrix_csv(args.target)
-    kernel = _kernel_spec(args)
+    kernel = KernelSpec(args.kernel, args.sigma if args.kernel == GAUSSIAN else None)
     G1 = gram(kernel, X, X)
     G2 = gram(kernel, Y, Y)
     if args.cost == "sqeuclidean":
@@ -123,11 +112,8 @@ def cmd_solve(args):
         raise ShapeError(
             f"cost shape {C.shape} does not match samples ({X.shape[0]}, {Y.shape[0]})"
         )
-    cfg = _solver_config(args)
-    if args.method == "fw":
-        plan, trace = solve_simplified(C, G1, G2, cfg)
-    else:
-        plan, trace = solve_admm(C, G1, G2, cfg)
+    solve = solve_simplified if args.method == "fw" else solve_admm
+    plan, trace = solve(C, G1, G2, _solver_config(args))
     doc = {
         "alpha": plan.alpha.tolist(),
         "objective": float(trace.objective_per_iter[-1]),
@@ -243,21 +229,24 @@ def _add_solver_flags(p):
     p.add_argument("--lambda2", type=float, default=d.lambda2)
     p.add_argument("--nu1", type=float, default=d.nu1)
     p.add_argument("--nu2", type=float, default=d.nu2)
-    p.add_argument("--rho", type=float, default=d.rho_admm, help="ADMM penalty")
     p.add_argument("--max-iters", type=int, default=d.max_outer_iters,
                    dest="max_iters",
                    help="outer Frank-Wolfe iterations, or ADMM cycles")
-    p.add_argument(
-        "--max-inner-iters", type=int, default=d.max_inner_iters,
-        dest="max_inner_iters",
-        help="Newton steps of the prox solve in each ADMM cycle",
-    )
     p.add_argument("--tol", type=float, default=d.tol_gap,
                    help="Frank-Wolfe duality-gap stop; stopping above it exits 2")
-    p.add_argument(
-        "--tol-residual", type=float, default=d.tol_residual,
-        help="ADMM residual stop",
-    )
+
+
+def _add_method_flags(p):
+    """The solver flags, ``--method`` and the flags only ADMM reads."""
+    _add_solver_flags(p)
+    d = SolverConfig()
+    p.add_argument("--method", choices=["fw", "admm"], default="fw")
+    p.add_argument("--rho", type=float, default=d.rho_admm, help="ADMM penalty")
+    p.add_argument("--max-inner-iters", type=int, default=d.max_inner_iters,
+                   dest="max_inner_iters",
+                   help="Newton steps of the prox solve in each ADMM cycle")
+    p.add_argument("--tol-residual", type=float, default=d.tol_residual,
+                   help="ADMM residual stop")
 
 
 def _int_list(text):
@@ -272,12 +261,11 @@ def build_parser():
     p = sub.add_parser("solve", help="solve for a transport plan")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--kernel", choices=["gaussian", "delta"], required=True)
+    p.add_argument("--kernel", choices=[GAUSSIAN, KRONECKER_DELTA], required=True)
     p.add_argument("--sigma", type=float)
     p.add_argument("--cost", default="sqeuclidean",
                    help="'sqeuclidean' or a cost-matrix CSV path")
-    p.add_argument("--method", choices=["fw", "admm"], default="fw")
-    _add_solver_flags(p)
+    _add_method_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-model", dest="emit_model",
@@ -310,8 +298,7 @@ def build_parser():
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--oos-count", type=int, default=200, dest="oos_count")
-    p.add_argument("--method", choices=["fw", "admm"], default="fw")
-    _add_solver_flags(p)
+    _add_method_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_gaussian)
@@ -332,8 +319,7 @@ def build_parser():
     p.add_argument("--target-test", required=True, dest="target_test")
     p.add_argument("--oos-source", dest="oos_source")
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--method", choices=["fw", "admm"], default="fw")
-    _add_solver_flags(p)
+    _add_method_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_domain_adapt)

@@ -1,8 +1,8 @@
 """CSV and JSON file helpers shared by the experiment harnesses and the CLI.
 
-CSV convention: first row is a header, UTF-8, comma-separated, ``.`` decimal.
-An optional integer column named ``label`` carries class ids; every other
-column is a numeric feature.
+CSV convention: first row is a header, UTF-8 with or without a byte-order
+mark, comma-separated, ``.`` decimal.  An optional integer column named
+``label`` carries class ids; every other column is a numeric feature.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def read_labeled_csv(path) -> LabeledDataset:
     none, or finds a column count other than the header's, so blank lines,
     0-row files and every error message behave as before.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -28,8 +28,9 @@ class KernelSpec:
     Args:
         kind: ``"gaussian"`` or ``"delta"``.
         sigma: Bandwidth, in the same units as the input coordinates.
-            Required for the Gaussian kernel, as a finite positive real
-            number (not a bool); ignored for the delta kernel.
+            Required for the Gaussian kernel: a real ``sigma > 0`` (not a
+            bool) whose ``2 sigma^2`` is a positive finite float; ignored
+            for the delta kernel.
     """
 
     kind: str
@@ -42,6 +43,13 @@ class KernelSpec:
             s = self.sigma
             if isinstance(s, bool) or not isinstance(s, Real) or not 0 < s < np.inf:
                 raise ValueError("Gaussian kernel requires a real sigma > 0")
+            try:  # the gram's divisor; a Python float raises on overflow
+                with np.errstate(over="ignore"):
+                    ok = 0 < 2.0 * s**2 < np.inf
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ValueError(f"Gaussian kernel requires 0 < 2 sigma^2 < inf, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,8 @@ def gram(spec: KernelSpec, A, B) -> GramMatrix:
     if spec.kind == GAUSSIAN:
         # In place, with the rounding of np.exp(-D / (2 sigma^2)).
         np.negative(D, out=D)
-        D /= 2.0 * spec.sigma**2
+        with np.errstate(over="ignore"):  # -inf past the float range, exp 0
+            D /= 2.0 * spec.sigma**2
         return GramMatrix(entries=np.exp(D, out=D))
     # The Hamming distance is the share of differing coordinates.
     return GramMatrix(entries=np.equal(D, 0.0, out=D))

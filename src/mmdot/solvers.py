@@ -504,7 +504,12 @@ def derive_beta(alpha, G1) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     G1 = gram_entries(G1)
-    return _nnls_columns(G1 / alpha.shape[0], alpha)[0]
+    if alpha.ndim != 2:
+        raise ShapeError(f"alpha must be 2-d, got ndim={alpha.ndim}")
+    m = alpha.shape[0]
+    if G1.shape != (m, m):
+        raise ShapeError(f"G1 shape {G1.shape} does not match alpha rows {m}")
+    return _nnls_columns(G1 / m, alpha)[0]
 
 
 def _nnls_columns(A, B, guess=None, cache=None):

@@ -153,11 +153,13 @@ def default_domain_radius(model: TransportMapModel) -> float:
     return max(2.0 * spread, 1e-12)
 
 
-def _subgradients(model: TransportMapModel, y, Yj):
-    """Subgradient of ``c(., Yj[k])`` at ``y[k]``, one row each."""
+def _subgradients(model: TransportMapModel, y, Yj, out):
+    """Subgradient of ``c(., Yj[k])`` at ``y[k]`` into row ``k`` of ``out``."""
     if model.cost_grad is None:
-        return 2.0 * (y - Yj)
-    return np.array([model.cost_grad(a, b) for a, b in zip(y, Yj)], dtype=float)
+        np.subtract(y, Yj, out=out)
+        out *= 2.0
+    else:
+        out[:] = np.array([model.cost_grad(a, b) for a, b in zip(y, Yj)], dtype=float)
 
 
 def _row_norms(D):
@@ -213,12 +215,13 @@ def _sgd_lockstep(model, W, steps, seed, radius):
     centers = np.empty((N, Y.shape[1]))
     scales = np.empty(N)
     idx = np.empty((steps, N), dtype=np.intp)
+    G = np.empty(Y.shape)
     for k in range(N):
         w = W[:, k]
         centers[k] = w @ Y
         # Scale so a unit-subgradient step at t=1 traverses a fraction of
         # the feasible ball; keeps the variance of the averaged iterate low.
-        G = _subgradients(model, np.broadcast_to(centers[k], Y.shape), Y)
+        _subgradients(model, np.broadcast_to(centers[k], Y.shape), Y, G)
         grad_bound = max(float(_row_norms(G).max()), 2.0 * radius, 1e-12)
         scales[k] = radius / grad_bound
         idx[:, k] = np.random.default_rng(seed).choice(Y.shape[0], size=steps, p=w)
@@ -227,33 +230,30 @@ def _sgd_lockstep(model, W, steps, seed, radius):
     # whole sqrt(t) table rounds each entry as the per-step quotient would.
     roots = np.sqrt(np.arange(1, steps + 1, dtype=float))
     rates = scales[:, None] / roots[:, None, None]  # steps x N x 1
-    sqeuclidean = model.cost_grad is None
     y = centers.copy()
     avg = np.zeros_like(y)
+    Yj = np.empty_like(y)
     g = np.empty_like(y)
     dy = np.empty_like(y)
     step = np.empty_like(y)
-    for t in range(1, steps + 1):
-        if sqeuclidean:
-            # The indices are in range, so clipping never acts; the default
-            # mode would copy through a buffer.
-            Y.take(idx[t - 1], axis=0, out=g, mode="clip")
-            np.subtract(y, g, out=g)
-            g *= 2.0
-        else:
-            g[:] = _subgradients(model, y, Y[idx[t - 1]])
-        g *= rates[t - 1]
-        y -= g
-        np.subtract(y, centers, out=dy)
-        nrm = _row_norms(dy)
-        far = nrm > radius
-        if far.any():
-            y[far] = centers[far] + dy[far] * (radius / nrm[far])[:, None]
-        np.subtract(y, avg, out=step)
-        step /= t
-        avg += step
     # A non-finite subgradient leaves the iterate non-finite from then on
-    # (the projection turns an infinite iterate into NaN), and so the average.
+    # (an infinite one turns quietly into NaN), and so the average.
+    with np.errstate(invalid="ignore"):
+        for t in range(1, steps + 1):
+            # The indices are in range, so clipping never acts; the default mode
+            # would copy through a buffer.
+            Y.take(idx[t - 1], axis=0, out=Yj, mode="clip")
+            _subgradients(model, y, Yj, g)
+            g *= rates[t - 1]
+            y -= g
+            np.subtract(y, centers, out=dy)
+            nrm = _row_norms(dy)
+            far = nrm > radius
+            if far.any():
+                y[far] = centers[far] + dy[far] * (radius / nrm[far])[:, None]
+            np.subtract(y, avg, out=step)
+            step /= t
+            avg += step
     if not np.all(np.isfinite(avg)):
         raise NumericalFailureError("non-finite subgradient")
     return avg

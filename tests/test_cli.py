@@ -168,7 +168,31 @@ class TestSolve:
              "--out", workdir / "p.json"]
         )
         assert code == 1
-        assert "sigma" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mmdot solve: error: Gaussian kernel requires a real sigma > 0"]
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    def test_sigma_past_float_range_exit_one(self, workdir, capsys, sigma):
+        # 2 sigma^2 overflows, or underflows to zero.
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        out = workdir / "p.json"
+        code = run(["solve", "--source", src, "--target", src, "--kernel",
+                    "gaussian", "--sigma", sigma, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"mmdot solve: error: Gaussian kernel requires 0 < 2 sigma^2 < inf, got {sigma!r}"
+        ]
+        assert not out.exists()
+
+    def test_delta_model_records_no_sigma(self, workdir):
+        src = write_points(workdir / "x.csv", [[0.0], [1.0]])
+        model = workdir / "model.json"
+        assert run(["solve", "--source", src, "--target", src, "--kernel", "delta",
+                    "--sigma", 2.0, "--out", workdir / "p.json",
+                    "--emit-model", model]) == 0
+        kernel = json.loads(model.read_text())["kernel"]
+        assert kernel == {"kind": "delta", "sigma": None}
 
     def test_user_cost_with_emit_model_exit_one(self, workdir, capsys):
         # A model maps with the squared-Euclidean barycenter; it cannot
@@ -570,6 +594,7 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "samples, sigma, message",
         [("6", 0.0, "Gaussian kernel requires a real sigma > 0"),
+         ("6", 1e200, "Gaussian kernel requires 0 < 2 sigma^2 < inf, got 1e+200"),
          ("101", 1.0, "m*n = 10201 exceeds exact-solver cap 10000")],
     )
     def test_eval_gaussian_bad_input_exit_one_before_records(
@@ -815,6 +840,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["emd", "--bogus", "1", "--out", workdir / "o.json"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag", ["--rho", "--max-inner-iters", "--tol-residual"])
+    def test_sample_complexity_takes_no_admm_flags(self, workdir, flag):
+        # The study solves by Frank-Wolfe only, which reads none of them.
+        with pytest.raises(SystemExit) as exc:
+            run(["sample-complexity", "--dim", 2, "--samples", "4,6", "--sigma", 1.0,
+                 flag, 5, "--out", workdir / "o.json"])
+        assert exc.value.code == 1
+        assert not (workdir / "o.json").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import matrix_csv_by_rows
 
+from mmdot import dataio
 from mmdot.dataio import (
     CsvFormatError,
     LabeledDataset,
@@ -13,6 +14,7 @@ from mmdot.dataio import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from mmdot.errors import DatasetError
 
 
 def test_write_matrix_csv_exact_text(tmp_path):
@@ -104,6 +106,42 @@ def test_read_error_counts_physical_lines(tmp_path, text, where):
     assert str(info.value) == f"{path}: {where}"
 
 
+@pytest.mark.parametrize("text, where", [
+    ("", "empty file, expected a header row"),
+    ("label,a\n1,2\n1.5,3\n", "line 3: column 'label': not an integer: '1.5'"),
+    ("label,a\n1,2\n", "matrix CSV must not carry a 'label' column"),
+], ids=["empty", "label_not_integer", "matrix_with_label"])
+def test_read_error_names_file(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_byte_order_mark_is_not_header_text(tmp_path, bom):
+    path = tmp_path / "l.csv"
+    path.write_text(bom + "label,x0,x1\n1,0.5,2\n", encoding="utf-8")
+    got = read_labeled_csv(path)
+    assert got.labels.tolist() == [1]
+    assert got.features.tolist() == [[0.5, 2.0]]
+    # The loadtxt route, and the csv-module scan that rereads the file.
+    for body in ("1,2\n", '"1",2\n'):
+        path.write_text(bom + "a,b\n" + body, encoding="utf-8")
+        assert read_matrix_csv(path).tolist() == [[1.0, 2.0]]
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(dataio.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("rows", [0, 1, 37])
 def test_write_matrix_csv_matches_row_by_row_text(tmp_path, rows):
     rng = np.random.default_rng(rows)
@@ -134,6 +172,11 @@ def test_one_dimensional_features_are_one_column():
     ds = LabeledDataset(features=[0.5, 1.5, 2.5], labels=[0, 1, 1])
     assert ds.features.shape == (3, 1)
     assert len(ds) == 3
+
+
+def test_label_count_must_match_rows():
+    with pytest.raises(DatasetError, match="2 labels for 3 feature rows"):
+        LabeledDataset(features=[0.5, 1.5, 2.5], labels=[0, 1])
 
 
 def test_label_column_read_by_csv_module(tmp_path):

@@ -175,6 +175,20 @@ class TestDeriveBeta:
         assert resid <= np.linalg.norm(plan.alpha)
 
 
+    @pytest.mark.parametrize(
+        "alpha, G1, message",
+        [(np.full(3, 1 / 3), np.eye(3), "alpha must be 2-d, got ndim=1"),
+         (np.full((3, 2), 1 / 6), np.ones((3, 2)),
+          r"G1 shape \(3, 2\) does not match alpha rows 3"),
+         (np.full((3, 2), 1 / 6), np.eye(4),
+          r"G1 shape \(4, 4\) does not match alpha rows 3")],
+        ids=["alpha_1d", "gram_not_square", "gram_too_large"],
+    )
+    def test_shape_mismatch_rejected(self, alpha, G1, message):
+        with pytest.raises(ShapeError, match=message):
+            derive_beta(alpha, G1)
+
+
 class TestRunGaussianExperiment:
     def test_degenerate_dimension_smoke(self):
         # d=1 unit-trace forces equal covariances, so the truth map is the
@@ -350,6 +364,17 @@ class TestDomainAdaptation:
             "sigma", "seed", "m", "n", "accuracy_in_sample", "cond_G1",
             "cond_G2", "converged", "accuracy_oos",
         }
+
+    def test_unlabelled_source_rejected(self):
+        rng = np.random.default_rng(6)
+        src = blob_dataset(rng, self.CENTERS, 4)
+        bare = LabeledDataset(features=src.features)
+        with pytest.raises(DatasetError, match="source and target_test must carry"):
+            run_domain_adaptation(bare, src, src, sigma=0.5, cfg=SolverConfig())
+        with pytest.raises(DatasetError, match="oos_source must carry labels"):
+            run_domain_adaptation(
+                src, src, src, sigma=0.5, cfg=SolverConfig(), oos_source=bare
+            )
 
     def test_unseen_test_label_rejected(self):
         rng = np.random.default_rng(3)

@@ -45,6 +45,10 @@ class TestKernelSpec:
             KernelSpec(GAUSSIAN, sigma=np.inf)
         with pytest.raises(ValueError):
             KernelSpec(GAUSSIAN, sigma=-np.inf)
+        # 2 sigma^2, the gram's divisor, overflows or underflows to zero.
+        for sigma in (1e200, 1e-170, np.float64(1e200), np.float64(1e-170)):
+            with pytest.raises(ValueError, match=r"0 < 2 sigma\^2 < inf"):
+                KernelSpec(GAUSSIAN, sigma=sigma)
 
     @pytest.mark.parametrize("sigma", ["abc", "1.0", True, [1.0]])
     def test_gaussian_sigma_must_be_real(self, sigma):
@@ -159,6 +163,15 @@ class TestGram:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             gram(gauss(), np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_three_dimensional_sample_set_rejected(self):
+        with pytest.raises(ShapeError, match="1-d or 2-d, got ndim=3"):
+            gram(gauss(), np.zeros((2, 2, 1)), np.zeros((2, 2)))
+
+    def test_tiny_sigma_gives_identity_without_overflow(self):
+        # -1 / (2 sigma^2) is past the float range: -inf, whose exp is 0.
+        A = np.array([[0.0], [1.0]])
+        assert np.array_equal(gram(gauss(1e-160), A, A).entries, np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("side", [0, 1])

@@ -441,6 +441,36 @@ class TestSolveSimplified:
             solve_simplified(
                 np.ones((2, 3)), np.eye(3), np.eye(3), SolverConfig()
             )
+        with pytest.raises(ShapeError, match="G2 shape"):
+            solve_simplified(
+                np.ones((2, 3)), np.eye(2), np.eye(2), SolverConfig()
+            )
+
+    def test_full_step_restarts_support(self, monkeypatch):
+        # A Frank-Wolfe step of length 1 moves all the mass to the new cell,
+        # so the support restarts from that cell alone and the cycle search
+        # sees an empty support.  A seeded search over small Gaussian-kernel
+        # instances (m, n 2-8, d 1-3, weights log-uniform in 1e-3..1e3)
+        # found this one.
+        rng = np.random.default_rng(1977)
+        m, n, d = (int(v) for v in rng.integers([2, 2, 1], [9, 9, 4]))
+        lam, nu = 10.0 ** rng.uniform(-3, 3, size=2)
+        X, Y = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        restarts = []
+
+        def spy(support, *args):
+            restarts.append(not support)
+            return _forest_cycle(support, *args)
+
+        monkeypatch.setattr(solvers, "_forest_cycle", spy)
+        plan, trace = solve_simplified(
+            squared_euclidean_cost(X, Y), gram(GAUSS1, X, X), gram(GAUSS1, Y, Y),
+            SolverConfig(lambda1=lam, lambda2=lam, nu1=nu, nu2=nu),
+        )
+        assert any(restarts)
+        assert trace.converged and trace.stop_reason == "gap"
+        assert np.all(np.diff(trace.objective_per_iter) <= 0.0)
+        assert plan.alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLmo:
@@ -1176,3 +1206,7 @@ class TestSolveEmdExact:
     def test_size_cap(self):
         with pytest.raises(ShapeError):
             solve_emd_exact(np.zeros((101, 101)))
+
+    def test_cost_must_be_two_dimensional(self):
+        with pytest.raises(ShapeError, match="2-d"):
+            solve_emd_exact(np.zeros(4))

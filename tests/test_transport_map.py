@@ -5,7 +5,7 @@ import pytest
 
 from oracles import conditional_cost, eval_kernel
 
-from mmdot.errors import InvalidModelError, ShapeError
+from mmdot.errors import InvalidModelError, NumericalFailureError, ShapeError
 from mmdot.kernels import GAUSSIAN, KRONECKER_DELTA, KernelSpec
 from mmdot.transport_map import (
     TransportMapModel,
@@ -63,6 +63,15 @@ class TestModelValidation:
                 beta_star=np.ones((2, 3)),
                 source_points=np.zeros((2, 1)),  # needs 3 source points
                 target_points=np.zeros((2, 1)),
+                kernel1=GAUSS1,
+            )
+
+    def test_shape_mismatch_targets(self):
+        with pytest.raises(ShapeError, match="2 target rows but 3 target points"):
+            TransportMapModel(
+                beta_star=np.ones((2, 3)),
+                source_points=np.zeros((3, 1)),
+                target_points=np.zeros((3, 1)),
                 kernel1=GAUSS1,
             )
 
@@ -391,6 +400,18 @@ class TestSgd:
         w, _ = point_weights(model, [0.0])
         value = conditional_cost(w, model.target_points, euclidean_cost, y[0])
         assert abs(value - 1.0) <= 1e-2
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_subgradient_raises(self, bad):
+        model = TransportMapModel(
+            beta_star=np.array([[0.5], [0.5]]),
+            source_points=np.array([[0.0]]),
+            target_points=np.array([[0.0], [2.0]]),
+            kernel1=DELTA,
+            cost_grad=lambda y, yj: np.full_like(y, bad),
+        )
+        with pytest.raises(NumericalFailureError, match="non-finite subgradient"):
+            map_point_sgd(model, [0.0], steps=10)
 
     def test_nonpositive_steps_rejected(self):
         model = weights_model([1.0], [[0.0]], [0.0])
